@@ -21,12 +21,14 @@ from .condition import (
 from .errors import (
     DimensionError,
     GenSudokuError,
+    InvalidCapError,
     InvalidPartitionError,
     InvalidPermutationError,
     NotApplicableError,
     ParityError,
     PuzzleFormatError,
     SearchSpaceError,
+    SelfCheckError,
 )
 from .matrices import (
     ConstraintMatrix,

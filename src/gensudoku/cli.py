@@ -101,10 +101,9 @@ def _report_line(report: NecessityReport) -> str:
             f"(zero difference at row {report.zero_rows[0]})"
         )
     cell, expected, actual = report.first_violation
-    shown = "undefined" if expected is None else str(expected)
     return (
         f"constraint {report.constraint_id}: FAILS at cell {cell} "
-        f"(expected {shown}, got {actual})"
+        f"(expected {expected}, got {actual})"
     )
 
 

@@ -9,15 +9,19 @@ applied per constraint permutation.  This module provides the sign
 function, two independent scalar routes to the column sums (a brute-force
 double sum and its closed form), the reconstruction map, and report-style
 checkers that treat violations as data rather than exceptions.
+
+The checkers take the closed form's route: they read the spec's compiled
+groups and rank each one, never building a matrix.  The matrix route
+(``reconstruct``) stays the public reference they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from .errors import DimensionError, NotApplicableError, ParityError
-from .matrices import ConstraintMatrix, DifferenceMatrix
+from .matrices import ConstraintMatrix, DifferenceMatrix, triangular_sum
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
@@ -105,12 +109,69 @@ def _halve(t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(val // 2 for val in t)
 
 
+def vanishing_rows(values: Sequence[int], block: int) -> Iterator[int]:
+    """Yield, ascending, the 1-based constraint matrix rows that vanish in a block.
+
+    ``values`` are the cell values of the constraint's group ``block``
+    (0-based).  The block holds one row per pair (p, m), p < m, in
+    lexicographic order, so the row of a pair is block * n(n-1)/2 plus the
+    pair's lexicographic index, plus 1; it vanishes when the pair's values
+    are equal.
+    """
+    n = len(values)
+    row = block * triangular_sum(n)
+    for p in range(n):
+        for m in range(p + 1, n):
+            row += 1
+            if values[p] == values[m]:
+                yield row
+
+
+def _checked_cells(problem: "ProblemSpec", x: Assignment) -> tuple[int, ...]:
+    """The cells of x, after the length check the constraint matrices make."""
+    size = problem.n * problem.n
+    if len(x.cells) != size:
+        raise DimensionError(f"expected length {size}, got {len(x.cells)}")
+    return x.cells
+
+
+def _rank_constraint(
+    groups: Sequence[Sequence[int]], cells: tuple[int, ...]
+) -> tuple[Optional[tuple[int, ...]], tuple[int, ...]]:
+    """Reconstruct one compiled constraint by rank: (reconstruction, ()).
+
+    For distinct values the sign sum of a cell is 2s - (n-1), s the number
+    of smaller values in its group, so the reconstructed value is s + 1.  A
+    group that is a permutation of 1..n therefore reconstructs to itself
+    (``sign_sum_closed_form``).  When a group holds a duplicate the
+    reconstruction is undefined and the result is (None, the vanishing rows
+    of the whole constraint).
+    """
+    n = len(groups[0])
+    identity = list(range(1, n + 1))
+    rec = list(cells)
+    zero_rows: list[int] = []
+    for block, group in enumerate(groups):
+        values = [cells[c] for c in group]
+        ranked = sorted(values)
+        if ranked == identity:
+            continue
+        if len(set(ranked)) < n:
+            zero_rows.extend(vanishing_rows(values, block))
+        else:
+            rank = {v: r for r, v in enumerate(ranked, start=1)}
+            for c, v in zip(group, values):
+                rec[c] = rank[v]
+    if zero_rows:
+        return None, tuple(zero_rows)
+    return tuple(rec), ()
+
+
 @dataclass(frozen=True)
 class NecessityReport:
     """Outcome of the reconstruction identity for one constraint.
 
-    ``first_violation`` is (cell index, expected, actual); expected is None
-    in the (unreachable for integer input) odd-parity case.  ``holds`` is
+    ``first_violation`` is (cell index, expected, actual).  ``holds`` is
     true exactly when no difference vanished and the reconstruction equals
     the assignment componentwise.
     """
@@ -118,7 +179,7 @@ class NecessityReport:
     constraint_id: int
     holds: bool
     reconstructed: Optional[tuple[int, ...]]
-    first_violation: Optional[tuple[int, Optional[int], int]]
+    first_violation: Optional[tuple[int, int, int]]
     zero_rows: tuple[int, ...]
 
 
@@ -128,29 +189,22 @@ def check_necessary(problem: "ProblemSpec", x: Assignment) -> list[NecessityRepo
     Violations are reported, never raised; one report per constraint in the
     problem's order.
     """
+    cells = _checked_cells(problem, x)
     reports = []
-    for constraint_id, matrix in enumerate(problem.constraint_matrices(), start=1):
-        y = matrix.apply(x.cells)
-        zero_rows = tuple(i for i, v in enumerate(y, start=1) if v == 0)
+    for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
+        rec, zero_rows = _rank_constraint(groups, cells)
         if zero_rows:
             reports.append(
                 NecessityReport(constraint_id, False, None, None, zero_rows)
             )
             continue
-        try:
-            rec = reconstruct(matrix, x)
-        except ParityError as exc:
-            violation = (exc.index, None, x.cells[exc.index - 1])
-            reports.append(NecessityReport(constraint_id, False, None, violation, ()))
-            continue
-        violation = next(
-            (
-                (i, rec[i - 1], x.cells[i - 1])
-                for i in range(1, len(rec) + 1)
-                if rec[i - 1] != x.cells[i - 1]
-            ),
-            None,
-        )
+        violation = None
+        if rec != cells:
+            violation = next(
+                (i, expected, actual)
+                for i, (expected, actual) in enumerate(zip(rec, cells), start=1)
+                if expected != actual
+            )
         reports.append(
             NecessityReport(constraint_id, violation is None, rec, violation, ())
         )
@@ -172,10 +226,14 @@ class GivensReport:
 def check_givens(problem: "ProblemSpec", x: Assignment) -> GivensReport:
     """Check every given cell against its reconstruction, per constraint.
 
-    Propagates NotApplicableError when a constraint's differences vanish.
+    Raises NotApplicableError, indexed by the first vanishing row, when a
+    constraint's differences vanish.
     """
-    for constraint_id, matrix in enumerate(problem.constraint_matrices(), start=1):
-        rec = reconstruct(matrix, x)
+    cells = _checked_cells(problem, x)
+    for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
+        rec, zero_rows = _rank_constraint(groups, cells)
+        if zero_rows:
+            raise NotApplicableError(zero_rows[0])
         for cell, given in problem.givens:
             if rec[cell - 1] != given:
                 return GivensReport(False, (constraint_id, cell, given, rec[cell - 1]))

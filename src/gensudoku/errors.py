@@ -59,3 +59,19 @@ class PuzzleFormatError(GenSudokuError, ValueError):
 
 class SearchSpaceError(GenSudokuError, ValueError):
     """Brute-force enumeration refused: the search space exceeds the guard."""
+
+
+class InvalidCapError(GenSudokuError, ValueError):
+    """A solution cap below 1 was requested."""
+
+
+class SelfCheckError(GenSudokuError):
+    """A solution emitted by the search failed its own re-check.
+
+    ``grid`` is the offending assignment.  This signals a fault in the
+    program, not in its input.
+    """
+
+    def __init__(self, message, grid):
+        super().__init__(message)
+        self.grid = grid

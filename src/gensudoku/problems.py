@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .condition import Assignment, check_givens, check_necessary
-from .errors import SearchSpaceError
+from .condition import (
+    Assignment,
+    _checked_cells,
+    check_givens,
+    check_necessary,
+    vanishing_rows,
+)
+from .errors import InvalidCapError, SearchSpaceError, SelfCheckError
 from .matrices import ConstraintMatrix, build_constraint_matrix
 from .permutations import (
     Partition,
@@ -60,21 +67,33 @@ class ProblemSpec:
                 raise ValueError(f"duplicate given for cell {cell}")
             seen.add(cell)
 
+    @cached_property
+    def compiled_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per constraint: the n groups of n cells its blocks tie together.
+
+        Cells are 0-based indices into ``Assignment.cells``; group b of a
+        constraint is the cells its permutation sends block b's columns to.
+        Built on first use and kept for the life of the spec, so every
+        check and search on the spec shares one copy.
+        """
+        n = self.n
+        return tuple(
+            tuple(
+                tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
+                for b in range(n)
+            )
+            for perm in self.constraints
+        )
+
     def constraint_matrices(self) -> list[ConstraintMatrix]:
         return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
 
     def constraint_groups(self) -> list[list[tuple[int, ...]]]:
-        """Per constraint: the n groups of n cells its blocks tie together."""
-        n = self.n
-        out = []
-        for perm in self.constraints:
-            out.append(
-                [
-                    tuple(perm(b * n + j) for j in range(1, n + 1))
-                    for b in range(n)
-                ]
-            )
-        return out
+        """Per constraint: the n groups of n cells its blocks tie together, 1-based."""
+        return [
+            [tuple(cell + 1 for cell in group) for group in groups]
+            for groups in self.compiled_groups
+        ]
 
 
 @dataclass(frozen=True)
@@ -100,20 +119,17 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
             return VerificationResult(
                 False, "range", f"cell {i} holds {value}, outside 1..{n}"
             )
-    for constraint_id, matrix in enumerate(problem.constraint_matrices(), start=1):
-        diffs = matrix.apply(x.cells)
-        zero_row = next((r for r, v in enumerate(diffs, start=1) if v == 0), None)
-        # Matrix route and direct value comparison must agree (two cells in a
-        # group are equal exactly when their difference row vanishes).
-        groups = problem.constraint_groups()[constraint_id - 1]
-        distinct = all(len({x.cells[c - 1] for c in g}) == n for g in groups)
-        assert distinct == (zero_row is None)
-        if zero_row is not None:
-            return VerificationResult(
-                False,
-                "constraint",
-                f"constraint {constraint_id}, row {zero_row}: zero difference",
-            )
+    cells = _checked_cells(problem, x)
+    for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
+        for block, group in enumerate(groups):
+            values = [cells[c] for c in group]
+            if len(set(values)) < n:
+                zero_row = next(vanishing_rows(values, block))
+                return VerificationResult(
+                    False,
+                    "constraint",
+                    f"constraint {constraint_id}, row {zero_row}: zero difference",
+                )
     for cell, value in problem.givens:
         if x.cells[cell - 1] != value:
             return VerificationResult(
@@ -135,20 +151,18 @@ class SolveOutcome:
 
 
 def _group_structure(problem: ProblemSpec):
-    """Flat list of cell groups and, per cell, the groups containing it."""
-    groups: list[tuple[int, ...]] = []
-    for per_constraint in problem.constraint_groups():
-        groups.extend(per_constraint)
+    """Flat list of 0-based cell groups and, per cell, the groups containing it."""
+    groups = [group for per_constraint in problem.compiled_groups for group in per_constraint]
     cell_groups: list[list[int]] = [[] for _ in range(problem.n * problem.n)]
     for gid, group in enumerate(groups):
         for cell in group:
-            cell_groups[cell - 1].append(gid)
+            cell_groups[cell].append(gid)
     return groups, cell_groups
 
 
 def _given_conflict(problem: ProblemSpec) -> Optional[str]:
     groups, _ = _group_structure(problem)
-    given_map = dict(problem.givens)
+    given_map = {cell - 1: value for cell, value in problem.givens}
     for gid, group in enumerate(groups):
         seen: dict[int, int] = {}
         for cell in group:
@@ -157,8 +171,8 @@ def _given_conflict(problem: ProblemSpec) -> Optional[str]:
                 continue
             if value in seen:
                 return (
-                    f"givens conflict: cells {seen[value]} and {cell} both hold "
-                    f"{value} in one constraint group"
+                    f"givens conflict: cells {seen[value] + 1} and {cell + 1} both "
+                    f"hold {value} in one constraint group"
                 )
             seen[value] = cell
     return None
@@ -174,8 +188,12 @@ def solve(
     Cell selection is most-constrained-first with ties broken by lowest
     index; candidate values are tried ascending.  Every emitted solution is
     re-verified and, unless ``selfcheck`` is disabled, additionally passed
-    through the reconstruction-identity and givens checks.
+    through the reconstruction-identity and givens checks; a solution that
+    fails any of them raises SelfCheckError.  ``cap`` below 1 raises
+    InvalidCapError.
     """
+    if cap is not None and cap < 1:
+        raise InvalidCapError(f"cap must be >= 1, got {cap}")
     outcome = SolveOutcome()
     conflict = _given_conflict(problem)
     if conflict is not None:
@@ -223,13 +241,17 @@ def solve(
             sol = Assignment(n, tuple(values))
             result = verify_solution(problem, sol)
             if not result.ok:
-                raise RuntimeError(f"search emitted an invalid solution: {result.detail}")
+                raise SelfCheckError(
+                    f"search emitted an invalid solution: {result.detail}", sol
+                )
             if selfcheck:
                 reports = check_necessary(problem, sol)
                 if not all(r.holds for r in reports):
-                    raise RuntimeError("reconstruction self-check failed on a solution")
+                    raise SelfCheckError(
+                        "reconstruction self-check failed on a solution", sol
+                    )
                 if not check_givens(problem, sol).ok:
-                    raise RuntimeError("givens self-check failed on a solution")
+                    raise SelfCheckError("givens self-check failed on a solution", sol)
             outcome.solutions.append(sol)
             if cap is not None and len(outcome.solutions) >= cap:
                 capped = True

@@ -229,6 +229,12 @@ def test_criterion_7_enumeration_counts_match_oracles(capsys):
     outcome = solve(classic4)
     assert len(outcome.solutions) == 288
     assert {s.cells for s in outcome.solutions} == set(expected_cells)
+    # The 4x4 Latin square count, self-check on, by the same enumeration.
+    expected_count, expected_cells = count_grids_by_row_product(4)
+    assert expected_count == 576
+    outcome = solve(make_latin_spec(4), selfcheck=True)
+    assert len(outcome.solutions) == 576
+    assert {s.cells for s in outcome.solutions} == set(expected_cells)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():

@@ -1,5 +1,7 @@
 import json
 
+import gensudoku.problems
+from gensudoku import NecessityReport
 from gensudoku.cli import run_cli
 from reference_data import A9_DENSE
 
@@ -100,6 +102,22 @@ class TestSolveCommand:
         puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n0 2\n")
         assert run_cli(["solve", puzzle]) == 1
         capsys.readouterr()
+
+    def test_cap_zero_is_input_error(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        assert run_cli(["solve", puzzle, "--cap", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cap must be >= 1, got 0\n"
+        assert captured.out == ""
+
+    def test_selfcheck_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        failing = [NecessityReport(1, False, None, None, (1,))]
+        monkeypatch.setattr(gensudoku.problems, "check_necessary", lambda p, x: failing)
+        puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
+        assert run_cli(["solve", puzzle]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: reconstruction self-check failed")
+        assert "Traceback" not in err
 
     def test_byte_stable(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)

@@ -3,10 +3,14 @@ from itertools import permutations as iter_permutations
 
 import pytest
 
+import gensudoku.problems
 from gensudoku import (
     Assignment,
+    InvalidCapError,
+    NecessityReport,
     Partition,
     SearchSpaceError,
+    SelfCheckError,
     brute_force,
     check_givens,
     check_necessary,
@@ -155,6 +159,18 @@ class TestSolve:
         outcome = solve(make_latin_spec(3), cap=5)
         assert len(outcome.solutions) == 5
         assert not outcome.exhausted
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(InvalidCapError, match=f"got {cap}$"):
+            solve(make_latin_spec(3), cap=cap)
+
+    def test_selfcheck_failure_carries_grid(self, monkeypatch):
+        failing = [NecessityReport(1, False, None, None, (1,))]
+        monkeypatch.setattr(gensudoku.problems, "check_necessary", lambda p, x: failing)
+        with pytest.raises(SelfCheckError) as info:
+            solve(make_latin_spec(2))
+        assert info.value.grid == Assignment(2, (1, 2, 2, 1))
 
     def test_solutions_pass_all_checks(self):
         spec = make_latin_spec(3, givens=((1, 2),))
