@@ -15,7 +15,6 @@ from .condition import (
     gsgn,
     pairwise_sign_sum,
     reconstruct,
-    reconstruct_values,
     sign_sum_closed_form,
 )
 from .errors import (
@@ -29,10 +28,10 @@ from .errors import (
     PuzzleFormatError,
     SearchSpaceError,
     SelfCheckError,
+    SpecError,
 )
 from .matrices import (
     ConstraintMatrix,
-    DifferenceMatrix,
     build_constraint_matrix,
     build_difference_matrix,
     integer_rank,

@@ -9,20 +9,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .condition import NecessityReport, check_necessary
-from .errors import GenSudokuError, SearchSpaceError
+from .errors import GenSudokuError
 from .matrices import build_constraint_matrix, build_difference_matrix
-from .permutations import (
-    block_permutation,
-    identity_permutation,
-    partition_permutation,
-    transpose_permutation,
+from .problems import (
+    SolveOutcome,
+    brute_force,
+    make_classic_spec,
+    make_gerechte_spec,
+    make_latin_spec,
+    solve,
+    verify_solution,
 )
-from .problems import SolveOutcome, brute_force, solve, verify_solution
 from .puzzle_io import load_problem, load_puzzle, parse_regions, render_tableau
 
 
@@ -162,25 +163,19 @@ def _cmd_matrix(args) -> int:
         print(f"A({n})")
         _print_rows(build_difference_matrix(n).to_dense())
         return 0
-    if args.pi == 1:
-        perm = identity_permutation(n)
-    elif args.pi == 2:
-        perm = transpose_permutation(n)
+    if args.pi != 3:
+        spec = make_latin_spec(n)
     elif args.regions is not None:
-        part = parse_regions(Path(args.regions).read_text())
+        part = parse_regions(Path(args.regions).read_text(), args.regions)
         if part.n != n:
             raise GenSudokuError(
                 f"region grid is {part.n}x{part.n}, requested n is {n}"
             )
-        perm = partition_permutation(part)
+        spec = make_gerechte_spec(part)
     else:
-        if math.isqrt(n) ** 2 != n:
-            raise GenSudokuError(
-                f"--pi 3 needs a perfect-square n or --regions, got n={n}"
-            )
-        perm = block_permutation(n)
+        spec = make_classic_spec(n)
     print(f"A_pi {n}")
-    _print_rows(build_constraint_matrix(n, perm).to_dense())
+    _print_rows(build_constraint_matrix(n, spec.constraints[args.pi - 1]).to_dense())
     return 0
 
 
@@ -199,7 +194,7 @@ def run_cli(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SearchSpaceError, GenSudokuError, OSError, ValueError) as exc:
+    except (GenSudokuError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from .errors import DimensionError, NotApplicableError, ParityError
-from .matrices import ConstraintMatrix, DifferenceMatrix, triangular_sum
+from .matrices import ConstraintMatrix, triangular_sum
 
 if TYPE_CHECKING:
     from .problems import ProblemSpec
@@ -84,20 +84,13 @@ def sign_sum_closed_form(value: int, n: int) -> int:
     return 2 * value - (n + 1)
 
 
-def reconstruct_values(matrix: DifferenceMatrix, x: Sequence[int]) -> tuple[int, ...]:
-    """Recover a single constraint group from difference signs.
+def reconstruct(matrix: ConstraintMatrix, x: Sequence[int]) -> tuple[int, ...]:
+    """Recover cell values from the signs of their constraint differences.
 
     Returns (A^T sgn(A x) + (n+1) * 1) / 2 in exact integers.  Equals x
-    whenever all components are distinct and lie in 1..n.
+    whenever every group of the matrix holds distinct values in 1..n.
     """
     signs = gsgn(matrix.apply(x))
-    sums = matrix.apply_transpose(signs)
-    return _halve(tuple(s + matrix.n + 1 for s in sums))
-
-
-def reconstruct(matrix: ConstraintMatrix, x: Assignment) -> tuple[int, ...]:
-    """Recover a full assignment from its constraint difference signs."""
-    signs = gsgn(matrix.apply(x.cells))
     sums = matrix.apply_transpose(signs)
     return _halve(tuple(s + matrix.n + 1 for s in sums))
 

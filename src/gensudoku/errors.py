@@ -47,14 +47,21 @@ class ParityError(GenSudokuError):
         self.value = value
 
 
-class PuzzleFormatError(GenSudokuError, ValueError):
-    """Malformed puzzle or region file; carries the 1-based position."""
+class SpecError(GenSudokuError, ValueError):
+    """A problem or matrix was asked for with a size or givens out of range."""
 
-    def __init__(self, message, line, column=None):
+
+class PuzzleFormatError(GenSudokuError, ValueError):
+    """Malformed puzzle or region file; carries the source and 1-based position."""
+
+    def __init__(self, message, line, column=None, source_name=None):
         pos = f"line {line}" if column is None else f"line {line}, column {column}"
+        if source_name is not None:
+            pos = f"{source_name}: {pos}"
         super().__init__(f"{pos}: {message}")
         self.line = line
         self.column = column
+        self.source_name = source_name
 
 
 class SearchSpaceError(GenSudokuError, ValueError):

@@ -1,33 +1,39 @@
 """Pairwise-difference matrices and their permuted block extensions.
 
 The base matrix for alphabet size n has one row per unordered pair
-(p, m) with p < m, reading x_p - x_m.  Rows are stored as the index pair
-(p, m) only; every row has exactly two nonzeros, so dense export exists for
-tests and dumps, never for computation.  All arithmetic is exact integer
-arithmetic.
+(p, m) with p < m, reading x_p - x_m; the block extension holds n copies
+of it with columns permuted.  Both are one sparse type that stores each
+row as its (plus, minus) column pair only; every row has exactly two
+nonzeros, so dense export exists for tests and dumps, never for
+computation.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import DimensionError, InvalidPermutationError
+from .errors import DimensionError, InvalidPermutationError, SpecError
 from .permutations import Permutation
 
 
 def triangular_sum(n: int) -> int:
     """Number of unordered pairs from n items: n(n-1)/2 (0 for n=1)."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise SpecError(f"n must be >= 1, got {n}")
     return n * (n - 1) // 2
 
 
 @dataclass(frozen=True)
-class DifferenceMatrix:
-    """The triangular_sum(n) x n matrix of all pairwise differences."""
+class ConstraintMatrix:
+    """Sparse matrix over alphabet size n whose every row reads x_plus - x_minus.
+
+    ``rows`` holds each row's 1-based (plus, minus) column pair, in row
+    order.  Never materialized densely except on demand.
+    """
 
     n: int
+    column_count: int
     rows: tuple[tuple[int, int], ...]
 
     @property
@@ -36,75 +42,7 @@ class DifferenceMatrix:
 
     def to_dense(self) -> list[list[int]]:
         dense = []
-        for p, m in self.rows:
-            row = [0] * self.n
-            row[p - 1] = 1
-            row[m - 1] = -1
-            dense.append(row)
-        return dense
-
-    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product: one difference x_p - x_m per row."""
-        if len(x) != self.n:
-            raise DimensionError(f"expected length {self.n}, got {len(x)}")
-        return tuple(x[p - 1] - x[m - 1] for p, m in self.rows)
-
-    def apply_transpose(self, y: Sequence[int]) -> tuple[int, ...]:
-        """Transpose product: column p gains +y_r, column m gains -y_r."""
-        if len(y) != self.row_count:
-            raise DimensionError(
-                f"expected length {self.row_count}, got {len(y)}"
-            )
-        out = [0] * self.n
-        for val, (p, m) in zip(y, self.rows):
-            out[p - 1] += val
-            out[m - 1] -= val
-        return tuple(out)
-
-
-def build_difference_matrix(n: int) -> DifferenceMatrix:
-    """Inductive construction: rows (1,2)..(1,n), then the n-1 case shifted.
-
-    The inductive order coincides with lexicographic order on (p, m).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rows = tuple(
-        (p, m) for p in range(1, n) for m in range(p + 1, n + 1)
-    )
-    return DifferenceMatrix(n=n, rows=rows)
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """n block copies of the difference matrix with columns permuted.
-
-    Block b (1-based) row (p, m) reads +1 at column perm((b-1)n+p) and -1
-    at column perm((b-1)n+m).  Never materialized densely except on demand.
-    """
-
-    n: int
-    base: DifferenceMatrix
-    perm: Permutation
-
-    @property
-    def row_count(self) -> int:
-        return self.n * self.base.row_count
-
-    @property
-    def column_count(self) -> int:
-        return self.n * self.n
-
-    def row_columns(self) -> Iterator[tuple[int, int]]:
-        """Yield (plus_column, minus_column) per row, 1-based, in row order."""
-        for b in range(self.n):
-            offset = b * self.n
-            for p, m in self.base.rows:
-                yield self.perm(offset + p), self.perm(offset + m)
-
-    def to_dense(self) -> list[list[int]]:
-        dense = []
-        for plus, minus in self.row_columns():
+        for plus, minus in self.rows:
             row = [0] * self.column_count
             row[plus - 1] = 1
             row[minus - 1] = -1
@@ -112,32 +50,53 @@ class ConstraintMatrix:
         return dense
 
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
+        """Matrix-vector product: one difference x_plus - x_minus per row."""
         if len(x) != self.column_count:
-            raise DimensionError(
-                f"expected length {self.column_count}, got {len(x)}"
-            )
-        return tuple(x[plus - 1] - x[minus - 1] for plus, minus in self.row_columns())
+            raise DimensionError(f"expected length {self.column_count}, got {len(x)}")
+        return tuple(x[plus - 1] - x[minus - 1] for plus, minus in self.rows)
 
-    def apply_transpose(self, lam: Sequence[int]) -> tuple[int, ...]:
-        if len(lam) != self.row_count:
-            raise DimensionError(
-                f"expected length {self.row_count}, got {len(lam)}"
-            )
+    def apply_transpose(self, y: Sequence[int]) -> tuple[int, ...]:
+        """Transpose product: column plus gains +y_r, column minus gains -y_r."""
+        if len(y) != self.row_count:
+            raise DimensionError(f"expected length {self.row_count}, got {len(y)}")
         out = [0] * self.column_count
-        for val, (plus, minus) in zip(lam, self.row_columns()):
+        for val, (plus, minus) in zip(y, self.rows):
             out[plus - 1] += val
             out[minus - 1] -= val
         return tuple(out)
 
 
+def build_difference_matrix(n: int) -> ConstraintMatrix:
+    """The triangular_sum(n) x n matrix of all pairwise differences.
+
+    Inductive construction: rows (1,2)..(1,n), then the n-1 case shifted,
+    which coincides with lexicographic order on (p, m).
+    """
+    if n < 1:
+        raise SpecError(f"n must be >= 1, got {n}")
+    rows = tuple((p, m) for p in range(1, n) for m in range(p + 1, n + 1))
+    return ConstraintMatrix(n, n, rows)
+
+
 def build_constraint_matrix(n: int, perm: Permutation) -> ConstraintMatrix:
+    """n block copies of the difference matrix with columns permuted.
+
+    Block b (1-based) row (p, m) reads +1 at column perm((b-1)n+p) and -1
+    at column perm((b-1)n+m).
+    """
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise SpecError(f"n must be >= 2, got {n}")
     if perm.size != n * n:
         raise InvalidPermutationError(
             f"permutation size {perm.size} does not match n^2 = {n * n}"
         )
-    return ConstraintMatrix(n=n, base=build_difference_matrix(n), perm=perm)
+    images, base = perm.images, build_difference_matrix(n).rows
+    rows = tuple(
+        (images[offset + p - 1], images[offset + m - 1])
+        for offset in range(0, n * n, n)
+        for p, m in base
+    )
+    return ConstraintMatrix(n, n * n, rows)
 
 
 def integer_rank(dense: Sequence[Sequence[int]]) -> int:
@@ -166,5 +125,5 @@ def integer_rank(dense: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def rank_of_difference_matrix(matrix: DifferenceMatrix) -> int:
+def rank_of_difference_matrix(matrix: ConstraintMatrix) -> int:
     return integer_rank(matrix.to_dense())

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
+# check_givens is not called here, but bench/tracing.py looks it up on this module.
 from .condition import (
     Assignment,
     _checked_cells,
@@ -22,7 +23,7 @@ from .condition import (
     check_necessary,
     vanishing_rows,
 )
-from .errors import InvalidCapError, SearchSpaceError, SelfCheckError
+from .errors import InvalidCapError, SearchSpaceError, SelfCheckError, SpecError
 from .matrices import ConstraintMatrix, build_constraint_matrix
 from .permutations import (
     Partition,
@@ -49,22 +50,22 @@ class ProblemSpec:
         object.__setattr__(self, "givens", tuple(tuple(g) for g in self.givens))
         n = self.n
         if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
+            raise SpecError(f"n must be >= 2, got {n}")
         if not self.constraints:
-            raise ValueError("at least one constraint permutation is required")
+            raise SpecError("at least one constraint permutation is required")
         for perm in self.constraints:
             if perm.size != n * n:
-                raise ValueError(
+                raise SpecError(
                     f"constraint permutation size {perm.size} != n^2 = {n * n}"
                 )
         seen = set()
         for cell, value in self.givens:
             if not 1 <= cell <= n * n:
-                raise ValueError(f"given cell {cell} outside 1..{n * n}")
+                raise SpecError(f"given cell {cell} outside 1..{n * n}")
             if not 1 <= value <= n:
-                raise ValueError(f"given value {value} outside 1..{n}")
+                raise SpecError(f"given value {value} outside 1..{n}")
             if cell in seen:
-                raise ValueError(f"duplicate given for cell {cell}")
+                raise SpecError(f"duplicate given for cell {cell}")
             seen.add(cell)
 
     @cached_property
@@ -151,31 +152,19 @@ class SolveOutcome:
 
 
 def _group_structure(problem: ProblemSpec):
-    """Flat list of 0-based cell groups and, per cell, the groups containing it."""
-    groups = [group for per_constraint in problem.compiled_groups for group in per_constraint]
+    """Distinct 0-based cell groups and, per cell, the groups containing it.
+
+    A group listed by two constraints (Latin's repeated columns, regions
+    equal to the rows) is kept once: it adds no candidate restriction.
+    """
+    groups = list(
+        dict.fromkeys(group for per in problem.compiled_groups for group in per)
+    )
     cell_groups: list[list[int]] = [[] for _ in range(problem.n * problem.n)]
     for gid, group in enumerate(groups):
         for cell in group:
             cell_groups[cell].append(gid)
     return groups, cell_groups
-
-
-def _given_conflict(problem: ProblemSpec) -> Optional[str]:
-    groups, _ = _group_structure(problem)
-    given_map = {cell - 1: value for cell, value in problem.givens}
-    for gid, group in enumerate(groups):
-        seen: dict[int, int] = {}
-        for cell in group:
-            value = given_map.get(cell)
-            if value is None:
-                continue
-            if value in seen:
-                return (
-                    f"givens conflict: cells {seen[value] + 1} and {cell + 1} both "
-                    f"hold {value} in one constraint group"
-                )
-            seen[value] = cell
-    return None
 
 
 def solve(
@@ -188,19 +177,14 @@ def solve(
     Cell selection is most-constrained-first with ties broken by lowest
     index; candidate values are tried ascending.  Every emitted solution is
     re-verified and, unless ``selfcheck`` is disabled, additionally passed
-    through the reconstruction-identity and givens checks; a solution that
-    fails any of them raises SelfCheckError.  ``cap`` below 1 raises
-    InvalidCapError.
+    through the reconstruction identity; a solution that fails either
+    raises SelfCheckError.  (Together the two fix every given's
+    reconstruction, so ``check_givens`` would add nothing.)  ``cap`` below 1
+    raises InvalidCapError.
     """
     if cap is not None and cap < 1:
         raise InvalidCapError(f"cap must be >= 1, got {cap}")
     outcome = SolveOutcome()
-    conflict = _given_conflict(problem)
-    if conflict is not None:
-        outcome.diagnostics.append(conflict)
-        outcome.exhausted = True
-        return outcome
-
     n = problem.n
     total = n * n
     groups, cell_groups = _group_structure(problem)
@@ -213,6 +197,20 @@ def solve(
         bit = 1 << value
         for gid in cell_groups[cell - 1]:
             used[gid] |= bit
+
+    for group in groups:
+        seen: dict[int, int] = {}
+        for cell in group:
+            value = values[cell]
+            if value in seen:
+                outcome.diagnostics.append(
+                    f"givens conflict: cells {seen[value] + 1} and {cell + 1} both "
+                    f"hold {value} in one constraint group"
+                )
+                outcome.exhausted = True
+                return outcome
+            if value:
+                seen[value] = cell
 
     unassigned = [i for i in range(total) if values[i] == 0]
 
@@ -250,8 +248,6 @@ def solve(
                     raise SelfCheckError(
                         "reconstruction self-check failed on a solution", sol
                     )
-                if not check_givens(problem, sol).ok:
-                    raise SelfCheckError("givens self-check failed on a solution", sol)
             outcome.solutions.append(sol)
             if cap is not None and len(outcome.solutions) >= cap:
                 capped = True
@@ -315,7 +311,7 @@ def make_classic_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> Problem
     """Rows, columns and sqrt(n) x sqrt(n) subsquares; n must be a square."""
     m = math.isqrt(n)
     if m * m != n or n < 4:
-        raise ValueError(f"n must be a perfect square >= 4, got {n}")
+        raise SpecError(f"n must be a perfect square >= 4, got {n}")
     return ProblemSpec(
         n,
         (identity_permutation(n), transpose_permutation(n), block_permutation(n)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -45,30 +46,35 @@ class PuzzleDocument:
     def assignment(self) -> Assignment:
         """The grid as an assignment; only meaningful when fully filled."""
         if not self.is_solved():
-            raise PuzzleFormatError("grid has blank cells, not a full assignment", 1)
+            raise PuzzleFormatError(
+                "grid has blank cells, not a full assignment",
+                1,
+                source_name=self.source_name,
+            )
         return Assignment(self.n, tuple(v for row in self.grid for v in row))
 
 
 def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
+    fail = partial(PuzzleFormatError, source_name=source_name)
     lines = text.splitlines()
     if not lines:
-        raise PuzzleFormatError("empty input", 1)
+        raise fail("empty input", 1)
     header = lines[0].split()
     if len(header) != 2 or header[0] != "n":
-        raise PuzzleFormatError(f"expected header 'n <n>', got {lines[0]!r}", 1)
+        raise fail(f"expected header 'n <n>', got {lines[0]!r}", 1)
     try:
         n = int(header[1])
     except ValueError:
-        raise PuzzleFormatError(f"grid size {header[1]!r} is not an integer", 1, 2)
+        raise fail(f"grid size {header[1]!r} is not an integer", 1, 2)
     if n < 2:
-        raise PuzzleFormatError(f"grid size must be >= 2, got {n}", 1, 2)
+        raise fail(f"grid size must be >= 2, got {n}", 1, 2)
 
     region_path = None
     row_start = 1
     if len(lines) > 1 and lines[1].split()[:1] == ["regions"]:
         parts = lines[1].split(maxsplit=1)
         if len(parts) != 2:
-            raise PuzzleFormatError("'regions' line is missing a path", 2)
+            raise fail("'regions' line is missing a path", 2)
         region_path = parts[1].strip()
         row_start = 2
 
@@ -77,22 +83,18 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
     for r in range(n):
         lineno = row_start + r + 1
         if row_start + r >= len(lines):
-            raise PuzzleFormatError(f"expected {n} grid rows, found {r}", lineno)
+            raise fail(f"expected {n} grid rows, found {r}", lineno)
         tokens = lines[row_start + r].split()
         if len(tokens) != n:
-            raise PuzzleFormatError(
-                f"expected {n} values, got {len(tokens)}", lineno
-            )
+            raise fail(f"expected {n} values, got {len(tokens)}", lineno)
         row = []
         for c, token in enumerate(tokens, start=1):
             try:
                 value = int(token)
             except ValueError:
-                raise PuzzleFormatError(f"value {token!r} is not an integer", lineno, c)
+                raise fail(f"value {token!r} is not an integer", lineno, c)
             if not 0 <= value <= n:
-                raise PuzzleFormatError(
-                    f"value {value} outside 0..{n}", lineno, c
-                )
+                raise fail(f"value {value} outside 0..{n}", lineno, c)
             row.append(value)
         rows.append(tuple(row))
     trailing = next(
@@ -104,17 +106,16 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
         None,
     )
     if trailing is not None:
-        raise PuzzleFormatError("unexpected content after the grid", trailing)
+        raise fail("unexpected content after the grid", trailing)
     return PuzzleDocument(n, tuple(rows), region_path, source_name)
 
 
 def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument:
     """81-character digit/'.' shorthand for 9x9 grids; '.' and '0' are blanks."""
+    fail = partial(PuzzleFormatError, source_name=source_name)
     compact = text.strip()
     if len(compact) != 81:
-        raise PuzzleFormatError(
-            f"expected 81 characters, got {len(compact)}", 1
-        )
+        raise fail(f"expected 81 characters, got {len(compact)}", 1)
     grid = []
     for r in range(9):
         row = []
@@ -125,27 +126,24 @@ def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument
             elif ch.isdigit():
                 row.append(int(ch))
             else:
-                raise PuzzleFormatError(
-                    f"character {ch!r} is not a digit or '.'", 1, r * 9 + c + 1
-                )
+                raise fail(f"character {ch!r} is not a digit or '.'", 1, r * 9 + c + 1)
         grid.append(tuple(row))
     return PuzzleDocument(9, tuple(grid), None, source_name)
 
 
 def parse_regions(text: str, source_name: str = "<string>") -> Partition:
     """Label grid -> partition; groups ordered by first appearance."""
+    fail = partial(PuzzleFormatError, source_name=source_name)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        raise PuzzleFormatError("empty region file", 1)
+        raise fail("empty region file", 1)
     n = len(lines)
     order: list[str] = []
     cells: dict[str, list[int]] = {}
     for r, line in enumerate(lines, start=1):
         tokens = line.split()
         if len(tokens) != n:
-            raise PuzzleFormatError(
-                f"expected {n} labels, got {len(tokens)}", r
-            )
+            raise fail(f"expected {n} labels, got {len(tokens)}", r)
         for c, label in enumerate(tokens, start=1):
             if label not in cells:
                 order.append(label)
@@ -185,7 +183,9 @@ def build_problem(doc: PuzzleDocument, base_dir: Optional[Path] = None) -> Probl
         part = parse_regions(region_file.read_text(), source_name=str(region_file))
         if part.n != doc.n:
             raise PuzzleFormatError(
-                f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}", 1
+                f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}",
+                1,
+                source_name=doc.source_name,
             )
         return make_gerechte_spec(part, doc.givens())
     m = math.isqrt(doc.n)

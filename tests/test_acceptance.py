@@ -31,7 +31,6 @@ from gensudoku import (
     partition_permutation,
     rank_of_difference_matrix,
     reconstruct,
-    reconstruct_values,
     sign_sum_closed_form,
     solve,
     verify_solution,
@@ -89,7 +88,7 @@ def test_criterion_2_nine_alphabet_worked_example(capsys):
     signs = gsgn(diffs)
     assert signs == X9_SIGNS
     assert matrix.apply_transpose(signs) == X9_COLUMN_SUMS
-    assert reconstruct_values(matrix, X9) == X9
+    assert reconstruct(matrix, X9) == X9
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     with capsys.disabled():
@@ -104,7 +103,7 @@ def test_criterion_3_region_worked_example(capsys):
     signs = gsgn(matrix.apply(X3))
     assert signs == X3_SIGNS
     assert matrix.apply_transpose(signs) == X3_COLUMN_SUMS
-    assert reconstruct(matrix, Assignment(3, X3)) == X3
+    assert reconstruct(matrix, X3) == X3
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     with capsys.disabled():
@@ -126,14 +125,14 @@ def test_criterion_4_sign_sum_and_reconstruction_properties(capsys):
                 assert pairwise_sign_sum(ranged, i) == sign_sum_closed_form(
                     ranged[i - 1], n
                 )
-            assert reconstruct_values(matrix, ranged) == tuple(ranged)
+            assert reconstruct(matrix, ranged) == tuple(ranged)
         # Full-size reconstruction under a random relabeling of all cells.
         for _ in range(200):
             perm = Permutation(tuple(rng.sample(range(1, n * n + 1), n * n)))
             blockwise = [v for _ in range(n) for v in rng.sample(range(1, n + 1), n)]
             cells = perm.apply_to_vector(blockwise)
             full = build_constraint_matrix(n, perm)
-            assert reconstruct(full, Assignment(n, cells)) == cells
+            assert reconstruct(full, cells) == cells
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     with capsys.disabled():
@@ -299,6 +298,41 @@ def test_criterion_8_every_solution_passes_the_reconstruction_check(capsys):
         assert elapsed < 1.0
     with capsys.disabled():
         announce(8, slowest)
+
+
+def test_search_nodes_and_order_are_pinned():
+    # Node counts and first/last solutions of the search as they stood before
+    # its group structure dropped repeated groups; removing a group that
+    # another constraint already lists must change none of them.
+    nodes = []
+    for fixture in SUDOKU_9X9_FIXTURES:
+        spec = make_classic_spec(9, parse_dot_string(fixture).givens())
+        outcome = solve(spec, cap=2)
+        assert len(outcome.solutions) == 1 and outcome.exhausted
+        nodes.append(outcome.nodes_explored)
+    assert nodes == [51, 49, 81, 166, 2231]
+    pinned = (
+        (
+            make_latin_spec(4),
+            4744,
+            576,
+            (1, 2, 3, 4, 2, 4, 1, 3, 3, 1, 4, 2, 4, 3, 2, 1),
+            (4, 3, 2, 1, 3, 1, 4, 2, 2, 4, 1, 3, 1, 2, 3, 4),
+        ),
+        (
+            make_classic_spec(4),
+            2272,
+            288,
+            (1, 2, 3, 4, 3, 4, 1, 2, 2, 1, 4, 3, 4, 3, 2, 1),
+            (4, 3, 2, 1, 2, 1, 4, 3, 3, 4, 1, 2, 1, 2, 3, 4),
+        ),
+    )
+    for spec, node_count, count, first, last in pinned:
+        outcome = solve(spec)
+        assert outcome.nodes_explored == node_count
+        assert len(outcome.solutions) == count
+        assert outcome.solutions[0].cells == first
+        assert outcome.solutions[-1].cells == last
 
 
 def test_criterion_9_negative_suite(capsys):

@@ -168,3 +168,18 @@ class TestErrors:
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_non_utf8_puzzle(self, tmp_path, capsys):
+        puzzle = tmp_path / "p.txt"
+        puzzle.write_bytes(b"\xff\xfe")
+        assert run_cli(["solve", str(puzzle)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_bad_region_file_names_its_path(self, tmp_path, capsys):
+        regions = write(tmp_path, "part.txt", "a a b\na b b\nc c\n")
+        puzzle = write(tmp_path, "p.txt", "n 3\nregions part.txt\n0 0 0\n0 0 0\n0 0 0\n")
+        assert run_cli(["solve", puzzle]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {regions}: line 3: expected 3 labels, got 2\n"

@@ -19,7 +19,6 @@ from gensudoku import (
     Permutation,
     ProblemSpec,
     reconstruct,
-    reconstruct_values,
     sign_sum_closed_form,
 )
 from reference_data import REGION3_GROUPS, X3, X9, X9_SIGNS
@@ -83,7 +82,7 @@ class TestSignSumClosedForm:
 
 class TestReconstructValues:
     def test_reference_group(self):
-        assert reconstruct_values(build_difference_matrix(9), X9) == X9
+        assert reconstruct(build_difference_matrix(9), X9) == X9
 
     def test_all_permutations_of_small_alphabets(self):
         import itertools
@@ -91,34 +90,34 @@ class TestReconstructValues:
         for n in range(2, 6):
             matrix = build_difference_matrix(n)
             for x in itertools.permutations(range(1, n + 1)):
-                assert reconstruct_values(matrix, x) == x
+                assert reconstruct(matrix, x) == x
 
 
 class TestReconstruct:
     def test_repeated_row_tableau(self):
         cells = X9 * 9
         matrix = build_constraint_matrix(9, identity_permutation(9))
-        assert reconstruct(matrix, Assignment(9, cells)) == cells
+        assert reconstruct(matrix, cells) == cells
 
     def test_region_example(self):
         part = Partition(3, REGION3_GROUPS)
         matrix = build_constraint_matrix(3, partition_permutation(part))
-        assert reconstruct(matrix, Assignment(3, X3)) == X3
+        assert reconstruct(matrix, X3) == X3
 
     def test_n2_identity(self):
         matrix = build_constraint_matrix(2, identity_permutation(2))
-        assert reconstruct(matrix, Assignment(2, (1, 2, 2, 1))) == (1, 2, 2, 1)
+        assert reconstruct(matrix, (1, 2, 2, 1)) == (1, 2, 2, 1)
 
     def test_zero_difference_rejected_with_row(self):
         matrix = build_constraint_matrix(2, identity_permutation(2))
         with pytest.raises(NotApplicableError) as info:
-            reconstruct(matrix, Assignment(2, (1, 1, 2, 1)))
+            reconstruct(matrix, (1, 1, 2, 1))
         assert info.value.index == 1
 
     def test_out_of_range_input_is_total(self):
         # The algebra stays defined off-range; only the fixed-point claim lapses.
         matrix = build_constraint_matrix(2, identity_permutation(2))
-        assert reconstruct(matrix, Assignment(2, (5, 9, 1, 2))) == (1, 2, 1, 2)
+        assert reconstruct(matrix, (5, 9, 1, 2)) == (1, 2, 1, 2)
 
     def test_random_permuted_assignments(self):
         rng = random.Random(31)
@@ -128,7 +127,7 @@ class TestReconstruct:
                 blockwise = [v for _ in range(n) for v in rng.sample(range(1, n + 1), n)]
                 cells = perm.apply_to_vector(blockwise)
                 matrix = build_constraint_matrix(n, perm)
-                assert reconstruct(matrix, Assignment(n, cells)) == cells
+                assert reconstruct(matrix, cells) == cells
 
     def test_group_order_does_not_change_result(self):
         # Reordering the partition's groups permutes constraint rows only.
@@ -140,7 +139,7 @@ class TestReconstruct:
             matrix = build_constraint_matrix(
                 3, partition_permutation(Partition(3, groups))
             )
-            assert reconstruct(matrix, Assignment(3, X3)) == X3
+            assert reconstruct(matrix, X3) == X3
 
     def test_even_intermediate_sums(self):
         # The halving step never truncates: sums share the parity of n+1.
@@ -149,7 +148,7 @@ class TestReconstruct:
             matrix = build_constraint_matrix(n, identity_permutation(n))
             for _ in range(50):
                 cells = [v for _ in range(n) for v in rng.sample(range(1, n + 1), n)]
-                rec = reconstruct(matrix, Assignment(n, cells))
+                rec = reconstruct(matrix, cells)
                 assert all(isinstance(v, int) for v in rec)
 
 

@@ -125,7 +125,7 @@ class TestPartition:
         part = Partition(3, REGION3_GROUPS)
         matrix = build_constraint_matrix(3, partition_permutation(part))
         groups = [set(g) for g in part.groups]
-        for row_index, (plus, minus) in enumerate(matrix.row_columns()):
+        for row_index, (plus, minus) in enumerate(matrix.rows):
             group = groups[row_index // 3]
             assert plus in group and minus in group
 

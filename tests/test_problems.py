@@ -6,12 +6,15 @@ import pytest
 import gensudoku.problems
 from gensudoku import (
     Assignment,
+    GenSudokuError,
     InvalidCapError,
     NecessityReport,
     Partition,
     SearchSpaceError,
     SelfCheckError,
+    SpecError,
     brute_force,
+    build_difference_matrix,
     check_givens,
     check_necessary,
     make_classic_spec,
@@ -225,3 +228,14 @@ class TestConstructors:
             make_latin_spec(3, givens=((1, 4),))
         with pytest.raises(ValueError):
             make_latin_spec(3, givens=((1, 1), (1, 2)))
+
+    def test_spec_errors_are_typed(self):
+        for build in (
+            lambda: make_latin_spec(3, givens=((1, 4),)),
+            lambda: make_classic_spec(3),
+            lambda: build_difference_matrix(0),
+        ):
+            with pytest.raises(SpecError) as info:
+                build()
+            assert isinstance(info.value, GenSudokuError)
+            assert isinstance(info.value, ValueError)

@@ -88,7 +88,7 @@ def matrix_reports(spec, x):
         if zero_rows:
             reports.append(NecessityReport(constraint_id, False, None, None, zero_rows))
             continue
-        rec = reconstruct(matrix, x)
+        rec = reconstruct(matrix, x.cells)
         violation = next(
             ((i, e, a) for i, (e, a) in enumerate(zip(rec, x.cells), start=1) if e != a),
             None,
@@ -99,7 +99,7 @@ def matrix_reports(spec, x):
 
 def matrix_givens(spec, x):
     for constraint_id, matrix in enumerate(spec.constraint_matrices(), start=1):
-        rec = reconstruct(matrix, x)  # gsgn raises at the first vanishing row
+        rec = reconstruct(matrix, x.cells)  # gsgn raises at the first vanishing row
         for cell, given in spec.givens:
             if rec[cell - 1] != given:
                 return GivensReport(False, (constraint_id, cell, given, rec[cell - 1]))
@@ -144,6 +144,10 @@ def test_rank_route_matches_matrix_route(name, base):
         assert givens_outcome(check_givens, spec, x) == givens_outcome(
             matrix_givens, spec, x
         )
+        # solve's self-check runs only these two checks: together they imply
+        # the givens check, so dropping it from the self-check loses nothing.
+        if result.ok and all(r.holds for r in reports):
+            assert check_givens(spec, x).ok
 
         for report, groups in zip(reports, spec.constraint_groups()):
             if report.reconstructed is None:
@@ -169,6 +173,8 @@ def test_samples_reach_every_branch():
                     seen.add("violation")
             if not x.is_ranged():
                 seen.add("out of range")
+            if spec.givens and verify_solution(spec, x).ok:
+                seen.add("verified with givens")
             outcome = givens_outcome(check_givens, spec, x)
             if isinstance(outcome, tuple):
                 seen.add("givens not applicable")
@@ -181,4 +187,5 @@ def test_samples_reach_every_branch():
         "out of range",
         "givens not applicable",
         "givens mismatch",
+        "verified with givens",
     }
