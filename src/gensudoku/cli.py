@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .condition import NecessityReport, check_necessary
@@ -64,22 +65,11 @@ def _print_rows(rows) -> None:
         print(" ".join(str(v) for v in row))
 
 
-def _outcome_json(outcome: SolveOutcome) -> dict:
-    return {
-        "solutions": [
-            {"n": sol.n, "cells": list(sol.cells)} for sol in outcome.solutions
-        ],
-        "nodes_explored": outcome.nodes_explored,
-        "exhausted": outcome.exhausted,
-        "diagnostics": list(outcome.diagnostics),
-    }
-
-
 def _print_outcome(outcome: SolveOutcome, fmt: str) -> int:
     for line in outcome.diagnostics:
         print(line, file=sys.stderr)
     if fmt == "json":
-        print(json.dumps(_outcome_json(outcome)))
+        print(json.dumps(asdict(outcome)))
     else:
         for k, sol in enumerate(outcome.solutions, start=1):
             print(f"solution {k}")
@@ -106,20 +96,6 @@ def _report_line(report: NecessityReport) -> str:
         f"constraint {report.constraint_id}: FAILS at cell {cell} "
         f"(expected {expected}, got {actual})"
     )
-
-
-def _report_json(report: NecessityReport) -> dict:
-    return {
-        "constraint_id": report.constraint_id,
-        "holds": report.holds,
-        "reconstructed": list(report.reconstructed)
-        if report.reconstructed is not None
-        else None,
-        "first_violation": list(report.first_violation)
-        if report.first_violation is not None
-        else None,
-        "zero_rows": list(report.zero_rows),
-    }
 
 
 def _cmd_solve(args) -> int:
@@ -150,7 +126,7 @@ def _cmd_check(args) -> int:
     solution = load_puzzle(args.solution).assignment()
     reports = check_necessary(problem, solution)
     if args.format == "json":
-        print(json.dumps([_report_json(r) for r in reports]))
+        print(json.dumps([asdict(r) for r in reports]))
     else:
         for report in reports:
             print(_report_line(report))
@@ -159,23 +135,26 @@ def _cmd_check(args) -> int:
 
 def _cmd_matrix(args) -> int:
     n = args.n
+    if args.regions is not None and args.pi != 3:
+        raise GenSudokuError("--regions applies only with --pi 3")
     if args.pi is None:
-        print(f"A({n})")
-        _print_rows(build_difference_matrix(n).to_dense())
-        return 0
-    if args.pi != 3:
-        spec = make_latin_spec(n)
-    elif args.regions is not None:
-        part = parse_regions(Path(args.regions).read_text(), args.regions)
-        if part.n != n:
-            raise GenSudokuError(
-                f"region grid is {part.n}x{part.n}, requested n is {n}"
-            )
-        spec = make_gerechte_spec(part)
+        header, matrix = f"A({n})", build_difference_matrix(n)
     else:
-        spec = make_classic_spec(n)
-    print(f"A_pi {n}")
-    _print_rows(build_constraint_matrix(n, spec.constraints[args.pi - 1]).to_dense())
+        if args.pi != 3:
+            spec = make_latin_spec(n)
+        elif args.regions is not None:
+            part = parse_regions(Path(args.regions).read_text(), args.regions)
+            if part.n != n:
+                raise GenSudokuError(
+                    f"region grid is {part.n}x{part.n}, requested n is {n}"
+                )
+            spec = make_gerechte_spec(part)
+        else:
+            spec = make_classic_spec(n)
+        header = f"A_pi {n}"
+        matrix = build_constraint_matrix(n, spec.constraints[args.pi - 1])
+    print(header)
+    _print_rows(matrix.to_dense())
     return 0
 
 

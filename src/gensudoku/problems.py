@@ -172,15 +172,17 @@ def solve(
     cap: Optional[int] = None,
     selfcheck: bool = True,
 ) -> SolveOutcome:
-    """Depth-first backtracking search, deterministic order.
+    """Depth-first backtracking search on an explicit stack, deterministic order.
 
-    Cell selection is most-constrained-first with ties broken by lowest
-    index; candidate values are tried ascending.  Every emitted solution is
-    re-verified and, unless ``selfcheck`` is disabled, additionally passed
-    through the reconstruction identity; a solution that fails either
-    raises SelfCheckError.  (Together the two fix every given's
-    reconstruction, so ``check_givens`` would add nothing.)  ``cap`` below 1
-    raises InvalidCapError.
+    The search is one loop, not recursion, so its depth is not bounded by
+    the interpreter's recursion limit.  Cell selection is
+    most-constrained-first with ties broken by lowest index; candidate
+    values are tried ascending.  Every emitted solution is re-verified and,
+    unless ``selfcheck`` is disabled, additionally passed through the
+    reconstruction identity; a solution that fails either raises
+    SelfCheckError.  (Together the two fix every given's reconstruction, so
+    ``check_givens`` would add nothing.)  ``cap`` below 1 raises
+    InvalidCapError.
     """
     if cap is not None and cap < 1:
         raise InvalidCapError(f"cap must be >= 1, got {cap}")
@@ -213,28 +215,21 @@ def solve(
                 seen[value] = cell
 
     unassigned = [i for i in range(total) if values[i] == 0]
-
-    def candidates(i: int) -> int:
-        mask = full
-        for gid in cell_groups[i]:
-            mask &= ~used[gid]
-        return mask
-
-    capped = False
-
-    def dfs() -> bool:
-        """Returns False when the cap was hit and search must stop."""
-        nonlocal capped
-        best = None
-        best_count = n + 1
+    stack: list[tuple[int, int]] = []  # (cell, values still to try there)
+    while True:
+        # Most-constrained free cell, lowest index on ties; stop at a dead end.
+        best, best_count, best_mask = None, n + 1, 0
         for i in unassigned:
             if values[i]:
                 continue
-            count = candidates(i).bit_count()
+            mask = full
+            for gid in cell_groups[i]:
+                mask &= ~used[gid]
+            count = mask.bit_count()
             if count < best_count:
-                best, best_count = i, count
+                best, best_count, best_mask = i, count, mask
                 if count == 0:
-                    return True
+                    break
         if best is None:
             sol = Assignment(n, tuple(values))
             result = verify_solution(problem, sol)
@@ -250,29 +245,28 @@ def solve(
                     )
             outcome.solutions.append(sol)
             if cap is not None and len(outcome.solutions) >= cap:
-                capped = True
-                return False
-            return True
-        mask = candidates(best)
-        for value in range(1, n + 1):
-            bit = 1 << value
-            if not mask & bit:
-                continue
-            outcome.nodes_explored += 1
-            values[best] = value
-            for gid in cell_groups[best]:
-                used[gid] |= bit
-            keep_going = dfs()
-            values[best] = 0
-            for gid in cell_groups[best]:
-                used[gid] &= ~bit
-            if not keep_going:
-                return False
-        return True
-
-    dfs()
-    outcome.exhausted = not capped
-    return outcome
+                return outcome
+        else:
+            stack.append((best, best_mask))
+        # Backtrack to the deepest cell with a value left and place its lowest.
+        while stack:
+            cell, mask = stack.pop()
+            if values[cell]:
+                bit = 1 << values[cell]
+                for gid in cell_groups[cell]:
+                    used[gid] &= ~bit
+            if mask:
+                bit = mask & -mask
+                outcome.nodes_explored += 1
+                values[cell] = bit.bit_length() - 1
+                for gid in cell_groups[cell]:
+                    used[gid] |= bit
+                stack.append((cell, mask ^ bit))
+                break
+            values[cell] = 0
+        else:
+            outcome.exhausted = True
+            return outcome
 
 
 def brute_force(problem: ProblemSpec) -> SolveOutcome:

@@ -301,9 +301,9 @@ def test_criterion_8_every_solution_passes_the_reconstruction_check(capsys):
 
 
 def test_search_nodes_and_order_are_pinned():
-    # Node counts and first/last solutions of the search as they stood before
-    # its group structure dropped repeated groups; removing a group that
-    # another constraint already lists must change none of them.
+    # Node counts and solutions of the search as they stood while it was a
+    # recursive closure over every constraint's groups; dropping repeated
+    # groups and running it as an explicit-stack loop must change none of them.
     nodes = []
     for fixture in SUDOKU_9X9_FIXTURES:
         spec = make_classic_spec(9, parse_dot_string(fixture).givens())
@@ -333,6 +333,13 @@ def test_search_nodes_and_order_are_pinned():
         assert len(outcome.solutions) == count
         assert outcome.solutions[0].cells == first
         assert outcome.solutions[-1].cells == last
+    full = solve(make_latin_spec(4))
+    capped = solve(make_latin_spec(4), cap=100)
+    assert capped.nodes_explored == 829 and not capped.exhausted
+    assert capped.solutions == full.solutions[:100]
+    # Cell 3 can hold neither 1 (row), 2 (row) nor 3 (column): a root dead end.
+    dead = solve(make_latin_spec(3, givens=((1, 1), (2, 2), (6, 3))))
+    assert (dead.nodes_explored, dead.solutions, dead.exhausted) == (0, [], True)
 
 
 def test_criterion_9_negative_suite(capsys):

@@ -41,6 +41,24 @@ class TestMatrixCommand:
         assert lines[0] == "A_pi 3"
         assert len(lines) == 10
 
+    def test_regions_need_pi3(self, tmp_path, capsys):
+        regions = write(tmp_path, "part.txt", "a a b\na b b\nc c c\n")
+        for argv in (
+            ["matrix", "3", "--pi", "1", "--regions", str(tmp_path / "missing")],
+            ["matrix", "3", "--regions", regions],
+        ):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--pi 3" in captured.err
+
+    def test_bad_order_prints_nothing(self, capsys):
+        for n in ("0", "-1"):
+            assert run_cli(["matrix", n]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error:" in captured.err
+
     def test_dump_is_stable(self, capsys):
         run_cli(["matrix", "4"])
         first = capsys.readouterr().out

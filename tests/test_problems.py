@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -188,6 +189,22 @@ class TestSolve:
         assert outcome.solutions == []
         assert outcome.exhausted
         assert outcome.diagnostics
+
+    def test_search_depth_does_not_use_the_call_stack(self):
+        # An empty Latin 16x16 has 256 free cells: a recursive search would
+        # need one frame per placed cell, far beyond 100 above this frame.
+        spec = make_latin_spec(16)
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            outcome = solve(spec, cap=1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(outcome.solutions) == 1 and not outcome.exhausted
 
     def test_givens_respected_in_all_solutions(self):
         outcome = solve(make_latin_spec(3, givens=((5, 1),)))

@@ -1,7 +1,8 @@
 """Source guards on the package's own code.
 
-Behaviour must not hide in statements ``python -O`` strips, and every error
-the package raises must be a typed ``GenSudokuError``.
+Behaviour must not hide in statements ``python -O`` strips, every error the
+package raises must be a typed ``GenSudokuError``, and no function may
+recurse, so no input's size is bounded by the interpreter's recursion limit.
 """
 
 import ast
@@ -41,5 +42,31 @@ def test_no_untyped_raises_in_package():
         if isinstance(node, ast.Raise)
         and node.exc is not None
         and raised_name(node) in ("ValueError", "RuntimeError")
+    ]
+    assert found == []
+
+
+def called_name(node):
+    callee = node.func
+    if isinstance(callee, ast.Name):
+        return callee.id
+    if (
+        isinstance(callee, ast.Attribute)
+        and isinstance(callee.value, ast.Name)
+        and callee.value.id in ("self", "cls")
+    ):
+        return callee.attr
+    return None
+
+
+def test_no_recursive_functions_in_package():
+    found = [
+        f"{name}: {func.name}"
+        for name, func in package_nodes()
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and called_name(node) == func.name
+            for node in ast.walk(func)
+        )
     ]
     assert found == []
