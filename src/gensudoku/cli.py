@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .condition import NecessityReport, check_necessary
-from .errors import GenSudokuError
+from .errors import GenSudokuError, PuzzleFormatError
 from .matrices import build_constraint_matrix, build_difference_matrix
 from .problems import (
     SolveOutcome,
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a puzzle file")
     p_solve.add_argument("file")
     p_solve.add_argument("--cap", type=int, default=None, metavar="K")
-    p_solve.add_argument("--no-selfcheck", action="store_true")
+    p_solve.add_argument("--no-selfcheck", action="store_true", help="ignored")
     p_solve.add_argument("--format", choices=["text", "json"], default="text")
 
     p_verify = sub.add_parser("verify", help="verify a solution file")
@@ -100,7 +100,7 @@ def _report_line(report: NecessityReport) -> str:
 
 def _cmd_solve(args) -> int:
     _, problem = load_problem(args.file)
-    outcome = solve(problem, cap=args.cap, selfcheck=not args.no_selfcheck)
+    outcome = solve(problem, cap=args.cap)
     return _print_outcome(outcome, args.format)
 
 
@@ -110,9 +110,21 @@ def _cmd_oracle(args) -> int:
     return _print_outcome(outcome, "text")
 
 
-def _cmd_verify(args) -> int:
+def _load_solution(args):
+    """The puzzle's problem and the solution file's grid, of the same size."""
     _, problem = load_problem(args.file)
-    solution = load_puzzle(args.solution).assignment()
+    doc = load_puzzle(args.solution)
+    if doc.n != problem.n:
+        raise PuzzleFormatError(
+            f"solution grid is {doc.n}x{doc.n}, puzzle is {problem.n}x{problem.n}",
+            1,
+            source_name=doc.source_name,
+        )
+    return problem, doc.assignment()
+
+
+def _cmd_verify(args) -> int:
+    problem, solution = _load_solution(args)
     result = verify_solution(problem, solution)
     if result.ok:
         print("OK")
@@ -122,8 +134,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, problem = load_problem(args.file)
-    solution = load_puzzle(args.solution).assignment()
+    problem, solution = _load_solution(args)
     reports = check_necessary(problem, solution)
     if args.format == "json":
         print(json.dumps([asdict(r) for r in reports]))

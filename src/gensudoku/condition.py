@@ -41,10 +41,6 @@ class Assignment:
                 f"expected {self.n * self.n} cells, got {len(self.cells)}"
             )
 
-    def is_ranged(self) -> bool:
-        """True when every cell value lies in 1..n."""
-        return all(1 <= v <= self.n for v in self.cells)
-
 
 def gsgn(y: Sequence[int]) -> tuple[int, ...]:
     """Componentwise sign; defined only when no component is zero."""

@@ -13,18 +13,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-# check_givens is not called here, but bench/tracing.py looks it up on this module.
-from .condition import (
-    Assignment,
-    _checked_cells,
-    check_givens,
-    check_necessary,
-    vanishing_rows,
-)
+from .condition import Assignment, _checked_cells, vanishing_rows
 from .errors import InvalidCapError, SearchSpaceError, SelfCheckError, SpecError
-from .matrices import ConstraintMatrix, build_constraint_matrix
 from .permutations import (
     Partition,
     Permutation,
@@ -86,16 +78,6 @@ class ProblemSpec:
             for perm in self.constraints
         )
 
-    def constraint_matrices(self) -> list[ConstraintMatrix]:
-        return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
-
-    def constraint_groups(self) -> list[list[tuple[int, ...]]]:
-        """Per constraint: the n groups of n cells its blocks tie together, 1-based."""
-        return [
-            [tuple(cell + 1 for cell in group) for group in groups]
-            for groups in self.compiled_groups
-        ]
-
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -113,14 +95,17 @@ class VerificationResult:
 
 
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
-    """Check range, componentwise-nonzero constraints, and givens, in order."""
+    """Check range, componentwise-nonzero constraints, and givens, in order.
+
+    An assignment whose length is not n^2 raises DimensionError.
+    """
     n = problem.n
-    for i, value in enumerate(x.cells, start=1):
+    cells = _checked_cells(problem, x)
+    for i, value in enumerate(cells, start=1):
         if not 1 <= value <= n:
             return VerificationResult(
                 False, "range", f"cell {i} holds {value}, outside 1..{n}"
             )
-    cells = _checked_cells(problem, x)
     for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
         for block, group in enumerate(groups):
             values = [cells[c] for c in group]
@@ -177,11 +162,13 @@ def solve(
     The search is one loop, not recursion, so its depth is not bounded by
     the interpreter's recursion limit.  Cell selection is
     most-constrained-first with ties broken by lowest index; candidate
-    values are tried ascending.  Every emitted solution is re-verified and,
-    unless ``selfcheck`` is disabled, additionally passed through the
-    reconstruction identity; a solution that fails either raises
-    SelfCheckError.  (Together the two fix every given's reconstruction, so
-    ``check_givens`` would add nothing.)  ``cap`` below 1 raises
+    values are tried ascending.  Every emitted solution is certified by the
+    defining system (``verify_solution``: range, nonzero differences,
+    givens); one that fails raises SelfCheckError.  The reconstruction
+    identity and the givens' reconstructions follow from that system by the
+    closed form (``sign_sum_closed_form``: a group holding a permutation of
+    1..n reconstructs to itself), so they are not re-checked here.
+    ``selfcheck`` is accepted and ignored.  ``cap`` below 1 raises
     InvalidCapError.
     """
     if cap is not None and cap < 1:
@@ -237,12 +224,6 @@ def solve(
                 raise SelfCheckError(
                     f"search emitted an invalid solution: {result.detail}", sol
                 )
-            if selfcheck:
-                reports = check_necessary(problem, sol)
-                if not all(r.holds for r in reports):
-                    raise SelfCheckError(
-                        "reconstruction self-check failed on a solution", sol
-                    )
             outcome.solutions.append(sol)
             if cap is not None and len(outcome.solutions) >= cap:
                 return outcome

@@ -228,10 +228,10 @@ def test_criterion_7_enumeration_counts_match_oracles(capsys):
     outcome = solve(classic4)
     assert len(outcome.solutions) == 288
     assert {s.cells for s in outcome.solutions} == set(expected_cells)
-    # The 4x4 Latin square count, self-check on, by the same enumeration.
+    # The 4x4 Latin square count, by the same enumeration.
     expected_count, expected_cells = count_grids_by_row_product(4)
     assert expected_count == 576
-    outcome = solve(make_latin_spec(4), selfcheck=True)
+    outcome = solve(make_latin_spec(4))
     assert len(outcome.solutions) == 576
     assert {s.cells for s in outcome.solutions} == set(expected_cells)
     elapsed = time.perf_counter() - start
@@ -309,6 +309,8 @@ def test_search_nodes_and_order_are_pinned():
         spec = make_classic_spec(9, parse_dot_string(fixture).givens())
         outcome = solve(spec, cap=2)
         assert len(outcome.solutions) == 1 and outcome.exhausted
+        # bench/ still passes selfcheck; it must stay accepted and ignored.
+        assert solve(spec, cap=2, selfcheck=False) == outcome
         nodes.append(outcome.nodes_explored)
     assert nodes == [51, 49, 81, 166, 2231]
     pinned = (
@@ -329,16 +331,20 @@ def test_search_nodes_and_order_are_pinned():
     )
     for spec, node_count, count, first, last in pinned:
         outcome = solve(spec)
+        assert solve(spec, selfcheck=False) == outcome
         assert outcome.nodes_explored == node_count
         assert len(outcome.solutions) == count
         assert outcome.solutions[0].cells == first
         assert outcome.solutions[-1].cells == last
     full = solve(make_latin_spec(4))
     capped = solve(make_latin_spec(4), cap=100)
+    assert solve(make_latin_spec(4), cap=100, selfcheck=False) == capped
     assert capped.nodes_explored == 829 and not capped.exhausted
     assert capped.solutions == full.solutions[:100]
     # Cell 3 can hold neither 1 (row), 2 (row) nor 3 (column): a root dead end.
-    dead = solve(make_latin_spec(3, givens=((1, 1), (2, 2), (6, 3))))
+    dead_spec = make_latin_spec(3, givens=((1, 1), (2, 2), (6, 3)))
+    dead = solve(dead_spec)
+    assert solve(dead_spec, selfcheck=False) == dead
     assert (dead.nodes_explored, dead.solutions, dead.exhausted) == (0, [], True)
 
 

@@ -1,13 +1,15 @@
 import json
 
 import gensudoku.problems
-from gensudoku import NecessityReport
+from gensudoku import VerificationResult
 from gensudoku.cli import run_cli
 from reference_data import A9_DENSE
 
 LATIN3_PUZZLE = "n 3\n0 0 0\n0 0 0\n0 0 0\n"
 LATIN3_SOLVED = "n 3\n2 1 3\n3 2 1\n1 3 2\n"
 LATIN2_PUZZLE = "n 2\n0 0\n0 0\n"
+CLASSIC4_PUZZLE = "n 4\n" + "0 0 0 0\n" * 4
+CLASSIC4_SOLVED = "n 4\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 
 
 def write(tmp_path, name, text):
@@ -129,12 +131,12 @@ class TestSolveCommand:
         assert captured.out == ""
 
     def test_selfcheck_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        failing = [NecessityReport(1, False, None, None, (1,))]
-        monkeypatch.setattr(gensudoku.problems, "check_necessary", lambda p, x: failing)
+        failing = VerificationResult(False, "constraint", "injected failure")
+        monkeypatch.setattr(gensudoku.problems, "verify_solution", lambda p, x: failing)
         puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: reconstruction self-check failed")
+        assert err.startswith("error: search emitted an invalid solution")
         assert "Traceback" not in err
 
     def test_byte_stable(self, tmp_path, capsys):
@@ -201,3 +203,18 @@ class TestErrors:
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {regions}: line 3: expected 3 labels, got 2\n"
+
+    def test_solution_size_mismatch_names_the_solution(self, tmp_path, capsys):
+        small = (CLASSIC4_PUZZLE, CLASSIC4_SOLVED, 4)
+        large = (LATIN3_PUZZLE, LATIN3_SOLVED, 3)
+        for (puzzle_text, _, p), (_, solved_text, s) in ((small, large), (large, small)):
+            puzzle = write(tmp_path, "p.txt", puzzle_text)
+            solved = write(tmp_path, "s.txt", solved_text)
+            for command in ("verify", "check"):
+                assert run_cli([command, puzzle, solved]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    f"error: {solved}: line 1: "
+                    f"solution grid is {s}x{s}, puzzle is {p}x{p}\n"
+                )

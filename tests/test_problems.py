@@ -7,14 +7,16 @@ import pytest
 import gensudoku.problems
 from gensudoku import (
     Assignment,
+    DimensionError,
     GenSudokuError,
     InvalidCapError,
-    NecessityReport,
     Partition,
     SearchSpaceError,
     SelfCheckError,
     SpecError,
+    VerificationResult,
     brute_force,
+    build_constraint_matrix,
     build_difference_matrix,
     check_givens,
     check_necessary,
@@ -72,6 +74,12 @@ class TestVerifySolution:
         result = verify_solution(spec, Assignment(2, (0, 2, 2, 1)))
         assert result.clause == "range"
 
+    def test_wrong_length_raises_before_range(self):
+        spec = make_latin_spec(2)
+        for cells in ((5,) * 9, (1,) * 9):
+            with pytest.raises(DimensionError, match="expected length 4, got 9"):
+                verify_solution(spec, Assignment(3, cells))
+
     def test_given_mismatch(self):
         spec = make_latin_spec(3, givens=((1, 3),))
         result = verify_solution(spec, Assignment(3, X3))
@@ -89,12 +97,12 @@ class TestVerifySolution:
     def test_group_values_form_full_alphabet_iff_verified(self):
         rng = random.Random(41)
         spec = make_latin_spec(3)
-        groups = [g for per in spec.constraint_groups() for g in per]
+        groups = [g for per in spec.compiled_groups for g in per]
         for _ in range(200):
             cells = tuple(rng.randint(1, 3) for _ in range(9))
             ok = verify_solution(spec, Assignment(3, cells)).ok
             sets_ok = all(
-                {cells[c - 1] for c in group} == {1, 2, 3} for group in groups
+                {cells[c] for c in group} == {1, 2, 3} for group in groups
             )
             assert ok == sets_ok
 
@@ -170,19 +178,32 @@ class TestSolve:
             solve(make_latin_spec(3), cap=cap)
 
     def test_selfcheck_failure_carries_grid(self, monkeypatch):
-        failing = [NecessityReport(1, False, None, None, (1,))]
-        monkeypatch.setattr(gensudoku.problems, "check_necessary", lambda p, x: failing)
+        failing = VerificationResult(False, "constraint", "injected failure")
+        monkeypatch.setattr(gensudoku.problems, "verify_solution", lambda p, x: failing)
         with pytest.raises(SelfCheckError) as info:
             solve(make_latin_spec(2))
         assert info.value.grid == Assignment(2, (1, 2, 2, 1))
 
     def test_solutions_pass_all_checks(self):
-        spec = make_latin_spec(3, givens=((1, 2),))
-        outcome = solve(spec)
-        for sol in outcome.solutions:
-            assert verify_solution(spec, sol).ok
-            assert all(r.holds for r in check_necessary(spec, sol))
-            assert check_givens(spec, sol).ok
+        # solve certifies with verify_solution only; the reconstruction
+        # identity and the givens check are the oracles run here.
+        regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
+        _, latin4 = count_latin_squares(4)
+        gerechte4 = [
+            g for g in latin4 if all(len({g[c - 1] for c in r}) == 4 for r in regions)
+        ]
+        for spec, expected in (
+            (make_latin_spec(3, givens=((1, 2),)), 4),
+            (make_classic_spec(4), 288),
+            (make_latin_spec(4), 576),
+            (make_gerechte_spec(Partition(4, regions)), len(gerechte4)),
+        ):
+            outcome = solve(spec)
+            assert outcome.exhausted and len(outcome.solutions) == expected
+            for sol in outcome.solutions:
+                assert verify_solution(spec, sol).ok
+                assert all(r.holds for r in check_necessary(spec, sol))
+                assert check_givens(spec, sol).ok
 
     def test_inconsistent_givens_diagnosed(self):
         outcome = solve(make_latin_spec(3, givens=((1, 1), (2, 1))))
@@ -220,7 +241,7 @@ class TestConstructors:
     def test_classic4_shape(self):
         spec = make_classic_spec(4)
         assert len(spec.constraints) == 3
-        matrices = spec.constraint_matrices()
+        matrices = [build_constraint_matrix(4, perm) for perm in spec.constraints]
         assert all(m.row_count == 24 for m in matrices)
 
     def test_row_partition_duplicates_row_constraint(self):

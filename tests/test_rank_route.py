@@ -55,7 +55,7 @@ def sample_grids(rng, spec):
     """In-range, out-of-range and duplicate-holding grids for one spec."""
     n = spec.n
     size = n * n
-    found = solve(spec, cap=3, selfcheck=False).solutions
+    found = solve(spec, cap=3).solutions
     for _ in range(GRIDS_PER_SPEC):
         kind = rng.randrange(5)
         if kind == 0 or not found:
@@ -79,6 +79,14 @@ def sample_grids(rng, spec):
         yield ProblemSpec(n, spec.constraints, tuple(givens)), Assignment(n, tuple(cells))
 
 
+def in_range(x):
+    return all(1 <= v <= x.n for v in x.cells)
+
+
+def constraint_matrices(spec):
+    return [build_constraint_matrix(spec.n, perm) for perm in spec.constraints]
+
+
 def matrix_reports(spec, x):
     reports = []
     for constraint_id, perm in enumerate(spec.constraints, start=1):
@@ -98,7 +106,7 @@ def matrix_reports(spec, x):
 
 
 def matrix_givens(spec, x):
-    for constraint_id, matrix in enumerate(spec.constraint_matrices(), start=1):
+    for constraint_id, matrix in enumerate(constraint_matrices(spec), start=1):
         rec = reconstruct(matrix, x.cells)  # gsgn raises at the first vanishing row
         for cell, given in spec.givens:
             if rec[cell - 1] != given:
@@ -121,7 +129,7 @@ def test_rank_route_matches_matrix_route(name, base):
         reports = check_necessary(spec, x)
         assert reports == matrix_reports(spec, x)
 
-        matrices = spec.constraint_matrices()
+        matrices = constraint_matrices(spec)
         first_zero = next(
             (
                 (constraint_id, row)
@@ -132,11 +140,11 @@ def test_rank_route_matches_matrix_route(name, base):
             None,
         )
         result = verify_solution(spec, x)
-        if x.is_ranged() and first_zero is not None:
+        if in_range(x) and first_zero is not None:
             constraint_id, row = first_zero
             assert result.clause == "constraint"
             assert result.detail == f"constraint {constraint_id}, row {row}: zero difference"
-        elif x.is_ranged():
+        elif in_range(x):
             assert result.clause in (None, "given")
         else:
             assert result.clause == "range"
@@ -144,19 +152,20 @@ def test_rank_route_matches_matrix_route(name, base):
         assert givens_outcome(check_givens, spec, x) == givens_outcome(
             matrix_givens, spec, x
         )
-        # solve's self-check runs only these two checks: together they imply
-        # the givens check, so dropping it from the self-check loses nothing.
-        if result.ok and all(r.holds for r in reports):
+        # solve certifies its solutions with verify_solution alone: the
+        # defining system must imply the identity and the givens check.
+        if result.ok:
+            assert all(r.holds for r in reports)
             assert check_givens(spec, x).ok
 
-        for report, groups in zip(reports, spec.constraint_groups()):
+        for report, groups in zip(reports, spec.compiled_groups):
             if report.reconstructed is None:
                 continue
             for group in groups:
-                values = [x.cells[c - 1] for c in group]
+                values = [x.cells[c] for c in group]
                 for i, cell in enumerate(group, start=1):
                     pairwise = pairwise_sign_sum(values, i)
-                    assert report.reconstructed[cell - 1] == (pairwise + n + 1) // 2
+                    assert report.reconstructed[cell] == (pairwise + n + 1) // 2
 
 
 def test_samples_reach_every_branch():
@@ -171,7 +180,7 @@ def test_samples_reach_every_branch():
                     seen.add("holds")
                 else:
                     seen.add("violation")
-            if not x.is_ranged():
+            if not in_range(x):
                 seen.add("out of range")
             if spec.givens and verify_solution(spec, x).ok:
                 seen.add("verified with givens")

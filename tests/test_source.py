@@ -1,8 +1,9 @@
 """Source guards on the package's own code.
 
 Behaviour must not hide in statements ``python -O`` strips, every error the
-package raises must be a typed ``GenSudokuError``, and no function may
-recurse, so no input's size is bounded by the interpreter's recursion limit.
+package raises must be a typed ``GenSudokuError``, no function may recurse,
+so no input's size is bounded by the interpreter's recursion limit, and the
+solver certifies by one route, leaving the others to the tests as oracles.
 """
 
 import ast
@@ -67,6 +68,20 @@ def test_no_recursive_functions_in_package():
         and any(
             isinstance(node, ast.Call) and called_name(node) == func.name
             for node in ast.walk(func)
+        )
+    ]
+    assert found == []
+
+
+def test_solver_has_one_certification_route():
+    path = PACKAGE_DIR / "problems.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (
+            (node.module or "").split(".")[-1] == "matrices"
+            or {alias.name for alias in node.names} & {"check_necessary", "check_givens"}
         )
     ]
     assert found == []
