@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a puzzle file")
     p_solve.add_argument("file")
     p_solve.add_argument("--cap", type=int, default=None, metavar="K")
-    p_solve.add_argument("--no-selfcheck", action="store_true", help="ignored")
     p_solve.add_argument("--format", choices=["text", "json"], default="text")
 
     p_verify = sub.add_parser("verify", help="verify a solution file")
@@ -115,11 +114,8 @@ def _load_solution(args):
     _, problem = load_problem(args.file)
     doc = load_puzzle(args.solution)
     if doc.n != problem.n:
-        raise PuzzleFormatError(
-            f"solution grid is {doc.n}x{doc.n}, puzzle is {problem.n}x{problem.n}",
-            1,
-            source_name=doc.source_name,
-        )
+        sizes = f"solution grid is {doc.n}x{doc.n}, puzzle is {problem.n}x{problem.n}"
+        raise PuzzleFormatError(sizes, 1, source_name=doc.source_name)
     return problem, doc.assignment()
 
 

@@ -15,8 +15,16 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
-from .condition import Assignment, _checked_cells, vanishing_rows
+# check_givens/check_necessary are not called here; bench/tracing.py looks them up.
+from .condition import (
+    Assignment,
+    _checked_cells,
+    check_givens,
+    check_necessary,
+    vanishing_rows,
+)
 from .errors import InvalidCapError, SearchSpaceError, SelfCheckError, SpecError
+from .matrices import ConstraintMatrix, build_constraint_matrix
 from .permutations import (
     Partition,
     Permutation,
@@ -78,6 +86,16 @@ class ProblemSpec:
             for perm in self.constraints
         )
 
+    def constraint_matrices(self) -> list[ConstraintMatrix]:
+        return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
+
+    def constraint_groups(self) -> list[list[tuple[int, ...]]]:
+        """Per constraint: the n groups of n cells its blocks tie together, 1-based."""
+        return [
+            [tuple(cell + 1 for cell in group) for group in groups]
+            for groups in self.compiled_groups
+        ]
+
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -95,10 +113,7 @@ class VerificationResult:
 
 
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
-    """Check range, componentwise-nonzero constraints, and givens, in order.
-
-    An assignment whose length is not n^2 raises DimensionError.
-    """
+    """Check length (else DimensionError), range, nonzero constraints, givens."""
     n = problem.n
     cells = _checked_cells(problem, x)
     for i, value in enumerate(cells, start=1):
@@ -163,11 +178,9 @@ def solve(
     the interpreter's recursion limit.  Cell selection is
     most-constrained-first with ties broken by lowest index; candidate
     values are tried ascending.  Every emitted solution is certified by the
-    defining system (``verify_solution``: range, nonzero differences,
-    givens); one that fails raises SelfCheckError.  The reconstruction
-    identity and the givens' reconstructions follow from that system by the
-    closed form (``sign_sum_closed_form``: a group holding a permutation of
-    1..n reconstructs to itself), so they are not re-checked here.
+    defining system (``verify_solution``) alone, else SelfCheckError: the
+    reconstruction identity and the givens' reconstructions follow from it
+    (``sign_sum_closed_form``: a permutation of 1..n reconstructs to itself).
     ``selfcheck`` is accepted and ignored.  ``cap`` below 1 raises
     InvalidCapError.
     """

@@ -16,7 +16,6 @@ from gensudoku import (
     SpecError,
     VerificationResult,
     brute_force,
-    build_constraint_matrix,
     build_difference_matrix,
     check_givens,
     check_necessary,
@@ -97,12 +96,12 @@ class TestVerifySolution:
     def test_group_values_form_full_alphabet_iff_verified(self):
         rng = random.Random(41)
         spec = make_latin_spec(3)
-        groups = [g for per in spec.compiled_groups for g in per]
+        groups = [g for per in spec.constraint_groups() for g in per]
         for _ in range(200):
             cells = tuple(rng.randint(1, 3) for _ in range(9))
             ok = verify_solution(spec, Assignment(3, cells)).ok
             sets_ok = all(
-                {cells[c] for c in group} == {1, 2, 3} for group in groups
+                {cells[c - 1] for c in group} == {1, 2, 3} for group in groups
             )
             assert ok == sets_ok
 
@@ -241,7 +240,7 @@ class TestConstructors:
     def test_classic4_shape(self):
         spec = make_classic_spec(4)
         assert len(spec.constraints) == 3
-        matrices = [build_constraint_matrix(4, perm) for perm in spec.constraints]
+        matrices = spec.constraint_matrices()
         assert all(m.row_count == 24 for m in matrices)
 
     def test_row_partition_duplicates_row_constraint(self):

@@ -83,10 +83,6 @@ def in_range(x):
     return all(1 <= v <= x.n for v in x.cells)
 
 
-def constraint_matrices(spec):
-    return [build_constraint_matrix(spec.n, perm) for perm in spec.constraints]
-
-
 def matrix_reports(spec, x):
     reports = []
     for constraint_id, perm in enumerate(spec.constraints, start=1):
@@ -106,7 +102,7 @@ def matrix_reports(spec, x):
 
 
 def matrix_givens(spec, x):
-    for constraint_id, matrix in enumerate(constraint_matrices(spec), start=1):
+    for constraint_id, matrix in enumerate(spec.constraint_matrices(), start=1):
         rec = reconstruct(matrix, x.cells)  # gsgn raises at the first vanishing row
         for cell, given in spec.givens:
             if rec[cell - 1] != given:
@@ -129,7 +125,7 @@ def test_rank_route_matches_matrix_route(name, base):
         reports = check_necessary(spec, x)
         assert reports == matrix_reports(spec, x)
 
-        matrices = constraint_matrices(spec)
+        matrices = spec.constraint_matrices()
         first_zero = next(
             (
                 (constraint_id, row)
@@ -158,14 +154,14 @@ def test_rank_route_matches_matrix_route(name, base):
             assert all(r.holds for r in reports)
             assert check_givens(spec, x).ok
 
-        for report, groups in zip(reports, spec.compiled_groups):
+        for report, groups in zip(reports, spec.constraint_groups()):
             if report.reconstructed is None:
                 continue
             for group in groups:
-                values = [x.cells[c] for c in group]
+                values = [x.cells[c - 1] for c in group]
                 for i, cell in enumerate(group, start=1):
                     pairwise = pairwise_sign_sum(values, i)
-                    assert report.reconstructed[cell] == (pairwise + n + 1) // 2
+                    assert report.reconstructed[cell - 1] == (pairwise + n + 1) // 2
 
 
 def test_samples_reach_every_branch():
