@@ -34,7 +34,6 @@ from .matrices import (
     ConstraintMatrix,
     build_constraint_matrix,
     build_difference_matrix,
-    integer_rank,
     rank_of_difference_matrix,
     triangular_sum,
 )

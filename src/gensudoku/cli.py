@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from .condition import NecessityReport, check_necessary
 from .errors import GenSudokuError, PuzzleFormatError
@@ -25,7 +24,13 @@ from .problems import (
     solve,
     verify_solution,
 )
-from .puzzle_io import load_problem, load_puzzle, parse_regions, render_tableau
+from .puzzle_io import (
+    load_problem,
+    load_puzzle,
+    parse_regions,
+    read_text,
+    render_tableau,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +155,7 @@ def _cmd_matrix(args) -> int:
         if args.pi != 3:
             spec = make_latin_spec(n)
         elif args.regions is not None:
-            part = parse_regions(Path(args.regions).read_text(), args.regions)
+            part = parse_regions(read_text(args.regions), args.regions)
             if part.n != n:
                 raise GenSudokuError(
                     f"region grid is {part.n}x{part.n}, requested n is {n}"
@@ -180,7 +185,7 @@ def run_cli(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GenSudokuError, OSError, ValueError) as exc:
+    except (GenSudokuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,10 @@ function, two independent scalar routes to the column sums (a brute-force
 double sum and its closed form), the reconstruction map, and report-style
 checkers that treat violations as data rather than exceptions.
 
-The checkers take the closed form's route: they read the spec's compiled
-groups and rank each one, never building a matrix.  The matrix route
-(``reconstruct``) stays the public reference they are tested against.
+``check_necessary`` takes the closed form's route: it reads the spec's
+compiled groups and ranks each one, never building a matrix, and
+``check_givens`` reads its reports.  The matrix route (``reconstruct``)
+stays the public reference they are tested against.
 """
 
 from __future__ import annotations
@@ -124,38 +125,6 @@ def _checked_cells(problem: "ProblemSpec", x: Assignment) -> tuple[int, ...]:
     return x.cells
 
 
-def _rank_constraint(
-    groups: Sequence[Sequence[int]], cells: tuple[int, ...]
-) -> tuple[Optional[tuple[int, ...]], tuple[int, ...]]:
-    """Reconstruct one compiled constraint by rank: (reconstruction, ()).
-
-    For distinct values the sign sum of a cell is 2s - (n-1), s the number
-    of smaller values in its group, so the reconstructed value is s + 1.  A
-    group that is a permutation of 1..n therefore reconstructs to itself
-    (``sign_sum_closed_form``).  When a group holds a duplicate the
-    reconstruction is undefined and the result is (None, the vanishing rows
-    of the whole constraint).
-    """
-    n = len(groups[0])
-    identity = list(range(1, n + 1))
-    rec = list(cells)
-    zero_rows: list[int] = []
-    for block, group in enumerate(groups):
-        values = [cells[c] for c in group]
-        ranked = sorted(values)
-        if ranked == identity:
-            continue
-        if len(set(ranked)) < n:
-            zero_rows.extend(vanishing_rows(values, block))
-        else:
-            rank = {v: r for r, v in enumerate(ranked, start=1)}
-            for c, v in zip(group, values):
-                rec[c] = rank[v]
-    if zero_rows:
-        return None, tuple(zero_rows)
-    return tuple(rec), ()
-
-
 @dataclass(frozen=True)
 class NecessityReport:
     """Outcome of the reconstruction identity for one constraint.
@@ -176,17 +145,38 @@ def check_necessary(problem: "ProblemSpec", x: Assignment) -> list[NecessityRepo
     """Run the reconstruction identity against every constraint.
 
     Violations are reported, never raised; one report per constraint in the
-    problem's order.
+    problem's order.  Each group is ranked, not multiplied out: for distinct
+    values the sign sum of a cell is 2s - (n-1), s the number of smaller
+    values in its group, so the reconstructed value is s + 1.  A group that
+    is a permutation of 1..n therefore reconstructs to itself
+    (``sign_sum_closed_form``).  When a group holds a duplicate the
+    constraint's reconstruction is undefined and its report lists the
+    vanishing rows of every such group.
     """
     cells = _checked_cells(problem, x)
+    n = problem.n
+    identity = list(range(1, n + 1))
     reports = []
     for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
-        rec, zero_rows = _rank_constraint(groups, cells)
+        rec = list(cells)
+        zero_rows: list[int] = []
+        for block, group in enumerate(groups):
+            values = [cells[c] for c in group]
+            ranked = sorted(values)
+            if ranked == identity:
+                continue
+            if len(set(ranked)) < n:
+                zero_rows.extend(vanishing_rows(values, block))
+            else:
+                rank = {v: r for r, v in enumerate(ranked, start=1)}
+                for c, v in zip(group, values):
+                    rec[c] = rank[v]
         if zero_rows:
             reports.append(
-                NecessityReport(constraint_id, False, None, None, zero_rows)
+                NecessityReport(constraint_id, False, None, None, tuple(zero_rows))
             )
             continue
+        rec = tuple(rec)
         violation = None
         if rec != cells:
             violation = next(
@@ -215,15 +205,14 @@ class GivensReport:
 def check_givens(problem: "ProblemSpec", x: Assignment) -> GivensReport:
     """Check every given cell against its reconstruction, per constraint.
 
-    Raises NotApplicableError, indexed by the first vanishing row, when a
-    constraint's differences vanish.
+    Reads ``check_necessary``'s reports.  Raises NotApplicableError, indexed
+    by the first vanishing row, when a constraint's differences vanish.
     """
-    cells = _checked_cells(problem, x)
-    for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
-        rec, zero_rows = _rank_constraint(groups, cells)
-        if zero_rows:
-            raise NotApplicableError(zero_rows[0])
+    for report in check_necessary(problem, x):
+        if report.zero_rows:
+            raise NotApplicableError(report.zero_rows[0])
         for cell, given in problem.givens:
-            if rec[cell - 1] != given:
-                return GivensReport(False, (constraint_id, cell, given, rec[cell - 1]))
+            actual = report.reconstructed[cell - 1]
+            if actual != given:
+                return GivensReport(False, (report.constraint_id, cell, given, actual))
     return GivensReport(True, None)

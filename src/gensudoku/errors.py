@@ -52,13 +52,18 @@ class SpecError(GenSudokuError, ValueError):
 
 
 class PuzzleFormatError(GenSudokuError, ValueError):
-    """Malformed puzzle or region file; carries the source and 1-based position."""
+    """Malformed or unreadable puzzle or region file.
 
-    def __init__(self, message, line, column=None, source_name=None):
-        pos = f"line {line}" if column is None else f"line {line}, column {column}"
-        if source_name is not None:
-            pos = f"{source_name}: {pos}"
-        super().__init__(f"{pos}: {message}")
+    Carries the source and the 1-based position; ``line`` is None when the
+    file could not be read at all.
+    """
+
+    def __init__(self, message, line=None, column=None, source_name=None):
+        where = [] if source_name is None else [source_name]
+        if line is not None:
+            column_part = "" if column is None else f", column {column}"
+            where.append(f"line {line}{column_part}")
+        super().__init__(": ".join(where + [message]))
         self.line = line
         self.column = column
         self.source_name = source_name

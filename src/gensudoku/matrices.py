@@ -99,9 +99,9 @@ def build_constraint_matrix(n: int, perm: Permutation) -> ConstraintMatrix:
     return ConstraintMatrix(n, n * n, rows)
 
 
-def integer_rank(dense: Sequence[Sequence[int]]) -> int:
+def rank_of_difference_matrix(matrix: ConstraintMatrix) -> int:
     """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in dense]
+    m = matrix.to_dense()
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     rank = 0
@@ -123,7 +123,3 @@ def integer_rank(dense: Sequence[Sequence[int]]) -> int:
         if rank == n_rows:
             break
     return rank
-
-
-def rank_of_difference_matrix(matrix: ConstraintMatrix) -> int:
-    return integer_rank(matrix.to_dense())

@@ -35,11 +35,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.size:
-            raise DimensionError(f"index {i} outside 1..{self.size}")
-        return self.images[i - 1]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, img in enumerate(self.images, start=1):

@@ -108,9 +108,6 @@ class VerificationResult:
     clause: Optional[str]
     detail: str
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
     """Check length (else DimensionError), range, nonzero constraints, givens."""
@@ -297,8 +294,7 @@ def make_latin_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> ProblemSp
 
 def make_classic_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> ProblemSpec:
     """Rows, columns and sqrt(n) x sqrt(n) subsquares; n must be a square."""
-    m = math.isqrt(n)
-    if m * m != n or n < 4:
+    if n < 4 or math.isqrt(n) ** 2 != n:
         raise SpecError(f"n must be a perfect square >= 4, got {n}")
     return ProblemSpec(
         n,

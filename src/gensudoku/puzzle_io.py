@@ -40,12 +40,9 @@ class PuzzleDocument:
             if self.grid[r - 1][c - 1] != 0
         )
 
-    def is_solved(self) -> bool:
-        return all(v != 0 for row in self.grid for v in row)
-
     def assignment(self) -> Assignment:
         """The grid as an assignment; only meaningful when fully filled."""
-        if not self.is_solved():
+        if any(0 in row for row in self.grid):
             raise PuzzleFormatError(
                 "grid has blank cells, not a full assignment",
                 1,
@@ -123,7 +120,7 @@ def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument
             ch = compact[r * 9 + c]
             if ch in ".0":
                 row.append(0)
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 row.append(int(ch))
             else:
                 raise fail(f"character {ch!r} is not a digit or '.'", 1, r * 9 + c + 1)
@@ -161,9 +158,21 @@ def render_tableau(x: Assignment) -> str:
     )
 
 
+def read_text(path: str | Path) -> str:
+    """A puzzle, solution or region file's text, decoded as UTF-8.
+
+    Bytes that are not UTF-8, or a name the system cannot open (one holding
+    a NUL byte), raise PuzzleFormatError naming the path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise PuzzleFormatError(str(exc), source_name=str(path)) from exc
+
+
 def load_puzzle(path: str | Path) -> PuzzleDocument:
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     stripped = [line for line in text.splitlines() if line.strip()]
     if len(stripped) == 1 and len(stripped[0].strip()) == 81:
         return parse_dot_string(text, source_name=str(path))
@@ -180,7 +189,7 @@ def build_problem(doc: PuzzleDocument, base_dir: Optional[Path] = None) -> Probl
         region_file = Path(doc.region_path)
         if not region_file.is_absolute() and base_dir is not None:
             region_file = base_dir / region_file
-        part = parse_regions(region_file.read_text(), source_name=str(region_file))
+        part = parse_regions(read_text(region_file), source_name=str(region_file))
         if part.n != doc.n:
             raise PuzzleFormatError(
                 f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}",

@@ -194,8 +194,42 @@ class TestErrors:
         puzzle.write_bytes(b"\xff\xfe")
         assert run_cli(["solve", str(puzzle)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith(f"error: {puzzle}: 'utf-8' codec can't decode")
         assert "Traceback" not in err
+
+    def test_non_utf8_region_file_names_its_path(self, tmp_path, capsys):
+        regions = tmp_path / "part.txt"
+        regions.write_bytes(b"a a b\n\xff b b\nc c c\n")
+        puzzle = write(tmp_path, "p.txt", "n 3\nregions part.txt\n0 0 0\n0 0 0\n0 0 0\n")
+        assert run_cli(["solve", puzzle]) == 2
+        assert run_cli(["matrix", "3", "--pi", "3", "--regions", str(regions)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith(f"error: {regions}: 'utf-8' codec") for line in lines)
+
+    def test_non_utf8_solution_names_its_path(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        solved = tmp_path / "s.txt"
+        solved.write_bytes(b"n 3\n2 1 3\n\xff")
+        for command in ("verify", "check"):
+            assert run_cli([command, puzzle, str(solved)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {solved}: 'utf-8' codec can't decode")
+
+    def test_region_path_with_nul_byte_is_named(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", "n 3\nregions a\0b\n0 0 0\n0 0 0\n0 0 0\n")
+        assert run_cli(["solve", puzzle]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'a'}\0b: embedded null byte\n"
+
+    def test_dot_string_with_non_decimal_digit(self, tmp_path, capsys):
+        puzzle = tmp_path / "p.txt"
+        puzzle.write_text("²" + "." * 80 + "\n", encoding="utf-8")
+        assert run_cli(["solve", str(puzzle)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {puzzle}: line 1, column 1: ")
 
     def test_bad_region_file_names_its_path(self, tmp_path, capsys):
         regions = write(tmp_path, "part.txt", "a a b\na b b\nc c\n")

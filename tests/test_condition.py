@@ -20,6 +20,7 @@ from gensudoku import (
     ProblemSpec,
     reconstruct,
     sign_sum_closed_form,
+    transpose_permutation,
 )
 from reference_data import REGION3_GROUPS, X3, X9, X9_SIGNS
 
@@ -201,6 +202,18 @@ class TestCheckGivens:
         spec = make_latin_spec(2, givens=((1, 1),))
         with pytest.raises(NotApplicableError):
             check_givens(spec, Assignment(2, (1, 1, 2, 2)))
+
+    def test_constraints_are_read_in_order(self):
+        # Rows reconstruct to themselves but miss the given; column 1 holds
+        # a duplicate.  The first constraint decides, whichever it is.
+        grid = Assignment(3, (1, 2, 3, 1, 2, 3, 2, 3, 1))
+        givens = ((1, 2),)
+        assert check_givens(make_latin_spec(3, givens), grid).mismatch == (1, 1, 2, 1)
+        columns_first = ProblemSpec(
+            3, (transpose_permutation(3), identity_permutation(3)), givens
+        )
+        with pytest.raises(NotApplicableError):
+            check_givens(columns_first, grid)
 
 
 class TestParityGuard:

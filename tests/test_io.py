@@ -28,7 +28,6 @@ class TestParsePuzzle:
     def test_solved_square(self):
         text = "n 3\n2 1 3\n3 2 1\n1 3 2\n"
         doc = parse_puzzle(text)
-        assert doc.is_solved()
         assert doc.assignment().cells == X3
 
     def test_regions_line(self):
@@ -77,6 +76,13 @@ class TestDotString:
     def test_wrong_length(self):
         with pytest.raises(PuzzleFormatError):
             parse_dot_string("123")
+
+    def test_digit_that_is_not_decimal(self):
+        # "²".isdigit() is true, but int("²") fails; "٣" is a decimal digit.
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_dot_string("²" + "." * 80)
+        assert (info.value.line, info.value.column) == (1, 1)
+        assert parse_dot_string("٣" + "." * 80).grid[0][0] == 3
 
 
 class TestParseRegions:

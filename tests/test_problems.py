@@ -270,6 +270,7 @@ class TestConstructors:
         for build in (
             lambda: make_latin_spec(3, givens=((1, 4),)),
             lambda: make_classic_spec(3),
+            lambda: make_classic_spec(-1),
             lambda: build_difference_matrix(0),
         ):
             with pytest.raises(SpecError) as info:

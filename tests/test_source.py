@@ -2,11 +2,13 @@
 
 Behaviour must not hide in statements ``python -O`` strips, every error the
 package raises must be a typed ``GenSudokuError``, no function may recurse,
-so no input's size is bounded by the interpreter's recursion limit, and the
-solver certifies by one route, leaving the others to the tests as oracles.
+so no input's size is bounded by the interpreter's recursion limit, the
+solver certifies by one route, leaving the others to the tests as oracles,
+and every exported name is used by the package or the acceptance criteria.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import gensudoku
@@ -104,3 +106,38 @@ def test_solver_has_one_certification_route():
         if other_route(node)
     ]
     assert found == []
+
+
+def referenced_names(path):
+    """Names read, attributes taken and names imported in a file.
+
+    A reference inside the top-level def or class of the same name does not
+    count, so defining a name is not using it.
+    """
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name != owner:
+                found.add(name)
+    return found
+
+
+def test_every_export_is_used_by_the_package_or_the_criteria():
+    sources = [path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"]
+    sources.append(Path(__file__).with_name("test_acceptance.py"))
+    used = set().union(*map(referenced_names, sources))
+    exported = {
+        name
+        for name in gensudoku.__all__
+        if not isinstance(getattr(gensudoku, name), types.ModuleType)
+    }
+    assert sorted(exported - used) == []
