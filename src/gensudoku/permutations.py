@@ -121,9 +121,9 @@ def block_permutation(n: int) -> Permutation:
     Subsquares are numbered row-wise from the left; within a subsquare cells
     fill left-to-right, top-to-bottom.
     """
-    m = math.isqrt(n)
-    if m * m != n or n < 4:
+    if n < 4 or math.isqrt(n) ** 2 != n:
         raise InvalidPermutationError(f"n must be a perfect square >= 4, got {n}")
+    m = math.isqrt(n)
     images = [0] * (n * n)
     for i in range(1, n + 1):  # tableau row = subsquare number
         sub_row, sub_col = divmod(i - 1, m)

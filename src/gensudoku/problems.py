@@ -148,22 +148,6 @@ class SolveOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _group_structure(problem: ProblemSpec):
-    """Distinct 0-based cell groups and, per cell, the groups containing it.
-
-    A group listed by two constraints (Latin's repeated columns, regions
-    equal to the rows) is kept once: it adds no candidate restriction.
-    """
-    groups = list(
-        dict.fromkeys(group for per in problem.compiled_groups for group in per)
-    )
-    cell_groups: list[list[int]] = [[] for _ in range(problem.n * problem.n)]
-    for gid, group in enumerate(groups):
-        for cell in group:
-            cell_groups[cell].append(gid)
-    return groups, cell_groups
-
-
 def solve(
     problem: ProblemSpec,
     cap: Optional[int] = None,
@@ -186,30 +170,32 @@ def solve(
     outcome = SolveOutcome()
     n = problem.n
     total = n * n
-    groups, cell_groups = _group_structure(problem)
-    used = [0] * len(groups)  # bitmask of values present per group
-    values = [0] * total
     full = ((1 << n) - 1) << 1  # bits 1..n
-
+    values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-        bit = 1 << value
-        for gid in cell_groups[cell - 1]:
-            used[gid] |= bit
-
-    for group in groups:
-        seen: dict[int, int] = {}
+    # One sweep over the distinct groups (a group two constraints list, as
+    # Latin's repeated columns, restricts nothing more and is kept once):
+    # index each cell's groups, mark the givens' values per group, and stop
+    # at the first group, in constraint order, holding a value twice.
+    groups = dict.fromkeys(group for per in problem.compiled_groups for group in per)
+    cell_groups: list[list[int]] = [[] for _ in range(total)]
+    used = [0] * len(groups)  # bitmask of values present per group
+    for gid, group in enumerate(groups):
         for cell in group:
+            cell_groups[cell].append(gid)
             value = values[cell]
-            if value in seen:
+            if not value:
+                continue
+            if used[gid] >> value & 1:
+                first = next(c for c in group if values[c] == value)
                 outcome.diagnostics.append(
-                    f"givens conflict: cells {seen[value] + 1} and {cell + 1} both "
+                    f"givens conflict: cells {first + 1} and {cell + 1} both "
                     f"hold {value} in one constraint group"
                 )
                 outcome.exhausted = True
                 return outcome
-            if value:
-                seen[value] = cell
+            used[gid] |= 1 << value
 
     unassigned = [i for i in range(total) if values[i] == 0]
     stack: list[tuple[int, int]] = []  # (cell, values still to try there)

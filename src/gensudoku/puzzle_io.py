@@ -23,12 +23,17 @@ from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_l
 
 @dataclass(frozen=True)
 class PuzzleDocument:
-    """Parsed puzzle file: grid with 0 for blanks, optional region path."""
+    """Parsed puzzle file: grid with 0 for blanks, optional region path.
+
+    ``first_row_line`` is the line number of the grid's first row; it is
+    None for the 81-character form, whose cells are the columns of line 1.
+    """
 
     n: int
     grid: tuple[tuple[int, ...], ...]
     region_path: Optional[str] = None
     source_name: str = "<string>"
+    first_row_line: Optional[int] = None
 
     def givens(self) -> tuple[tuple[int, int], ...]:
         """Non-blank cells as (row-major 1-based index, value) pairs."""
@@ -41,14 +46,21 @@ class PuzzleDocument:
         )
 
     def assignment(self) -> Assignment:
-        """The grid as an assignment; only meaningful when fully filled."""
-        if any(0 in row for row in self.grid):
+        """The grid as an assignment; a blank raises PuzzleFormatError at its place."""
+        cells = tuple(v for row in self.grid for v in row)
+        if 0 in cells:
+            index = cells.index(0)
+            if self.first_row_line is None:
+                line, column = 1, index + 1
+            else:
+                line, column = self.first_row_line + index // self.n, index % self.n + 1
             raise PuzzleFormatError(
                 "grid has blank cells, not a full assignment",
-                1,
+                line,
+                column,
                 source_name=self.source_name,
             )
-        return Assignment(self.n, tuple(v for row in self.grid for v in row))
+        return Assignment(self.n, cells)
 
 
 def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
@@ -104,7 +116,7 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
     )
     if trailing is not None:
         raise fail("unexpected content after the grid", trailing)
-    return PuzzleDocument(n, tuple(rows), region_path, source_name)
+    return PuzzleDocument(n, tuple(rows), region_path, source_name, row_start + 1)
 
 
 def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument:

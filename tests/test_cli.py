@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import gensudoku.problems
 from gensudoku import VerificationResult
 from gensudoku.cli import run_cli
@@ -10,6 +12,10 @@ LATIN3_SOLVED = "n 3\n2 1 3\n3 2 1\n1 3 2\n"
 LATIN2_PUZZLE = "n 2\n0 0\n0 0\n"
 CLASSIC4_PUZZLE = "n 4\n" + "0 0 0 0\n" * 4
 CLASSIC4_SOLVED = "n 4\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
+SOLVED9 = (
+    "534678912672195348198342567859761423426853791"
+    "713924856961537284287419635345286179"
+)
 
 
 def write(tmp_path, name, text):
@@ -237,6 +243,37 @@ class TestErrors:
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {regions}: line 3: expected 3 labels, got 2\n"
+
+    @pytest.mark.parametrize(
+        "puzzle_text, solved_text, where",
+        [
+            (LATIN2_PUZZLE, "n 2\n1 2\n0 1\n", "line 3, column 1"),
+            (
+                LATIN3_PUZZLE,
+                "n 3\nregions r.txt\n2 1 3\n3 0 1\n1 3 2\n",
+                "line 4, column 2",
+            ),
+            (
+                "." * 81 + "\n",
+                SOLVED9[:40] + "." + SOLVED9[41:] + "\n",
+                "line 1, column 41",
+            ),
+        ],
+        ids=["grid", "after-regions-line", "81-characters"],
+    )
+    def test_blank_in_solution_names_its_line_and_column(
+        self, tmp_path, capsys, puzzle_text, solved_text, where
+    ):
+        puzzle = write(tmp_path, "p.txt", puzzle_text)
+        solved = write(tmp_path, "s.txt", solved_text)
+        for command in ("verify", "check"):
+            assert run_cli([command, puzzle, solved]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: {solved}: {where}: "
+                "grid has blank cells, not a full assignment\n"
+            )
 
     def test_solution_size_mismatch_names_the_solution(self, tmp_path, capsys):
         small = (CLASSIC4_PUZZLE, CLASSIC4_SOLVED, 4)

@@ -91,8 +91,11 @@ class TestBlockPermutation:
         assert {p.images[i - 1] for i in range(1, 10)} == {1, 2, 3, 10, 11, 12, 19, 20, 21}
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidPermutationError):
-            block_permutation(3)
+        # Orders below 4 are rejected before math.isqrt, which would raise an
+        # untyped ValueError on a negative one.
+        for n in (3, -4, -1, 0, 1):
+            with pytest.raises(InvalidPermutationError, match=f"got {n}$"):
+                block_permutation(n)
 
 
 class TestPartition:

@@ -209,6 +209,15 @@ class TestSolve:
         assert outcome.solutions == []
         assert outcome.exhausted
         assert outcome.diagnostics
+        # Cells 1 and 4 share column 1 and cells 4 and 5 share row 2: the
+        # first group in constraint order is reported, at its first repeat.
+        outcome = solve(make_latin_spec(3, givens=((1, 1), (4, 1), (5, 1))))
+        assert outcome.diagnostics == [
+            "givens conflict: cells 4 and 5 both hold 1 in one constraint group"
+        ]
+        assert outcome.exhausted
+        assert outcome.nodes_explored == 0
+        assert outcome.solutions == []
 
     def test_search_depth_does_not_use_the_call_stack(self):
         # An empty Latin 16x16 has 256 free cells: a recursive search would

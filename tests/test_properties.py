@@ -1,4 +1,5 @@
-"""Property tests: no text or file makes the parsers or the CLI fail untyped.
+"""Property tests: no text or file makes the parsers or the CLI fail untyped,
+and ``solve`` finds exactly the oracles' solutions on random gerechte problems.
 
 Any text given to a parser yields a document or a typed format error, and
 ``run_cli`` on generated puzzle, region and solution files (n <= 4, or
@@ -11,18 +12,22 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gensudoku import (
     InvalidPartitionError,
     PuzzleDocument,
     PuzzleFormatError,
     Partition,
+    brute_force,
+    make_gerechte_spec,
     parse_dot_string,
     parse_puzzle,
     parse_regions,
+    solve,
 )
 from gensudoku.cli import run_cli
+from test_acceptance import count_grids_by_row_product
 
 # Characters that build headers, grids and region lines, plus digits that
 # are not ASCII: "²" is a digit int() rejects, "٣" a decimal digit it reads.
@@ -46,13 +51,18 @@ def test_parsers_return_a_document_or_a_format_error(text):
         pass
 
 
-def grids(n):
-    """Cells of any grid over 1..n, or of a Latin square (cyclic, relabelled)."""
-    any_grid = st.lists(st.integers(1, n), min_size=n * n, max_size=n * n)
-    latin = st.permutations(range(1, n + 1)).map(
-        lambda labels: [labels[(r + c) % n] for r in range(n) for c in range(n)]
+def latin_squares(n):
+    """Cells of a cyclic Latin square with its rows, columns and values permuted."""
+    perms = st.tuples(*(st.permutations(range(n)) for _ in range(3)))
+    return perms.map(
+        lambda p: [p[0][(p[1][i // n] + p[2][i % n]) % n] + 1 for i in range(n * n)]
     )
-    return st.one_of(any_grid, latin)
+
+
+def grids(n):
+    """Cells of any grid over 1..n, or of a Latin square."""
+    any_grid = st.lists(st.integers(1, n), min_size=n * n, max_size=n * n)
+    return st.one_of(any_grid, latin_squares(n))
 
 
 @st.composite
@@ -114,3 +124,58 @@ def test_cli_exits_0_1_or_2_on_generated_files(request):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def gerechte_problem(draw):
+    """Any n <= 4 region partition, with givens read from a drawn grid.
+
+    Half the partitions are built so that a drawn Latin square is a gerechte
+    grid for them (region i takes the i-th cell of each value, in a drawn
+    order); the rest are any n groups of n cells, connected or not, and
+    mostly have no solution.  The givens come from that square, from another
+    Latin square or from any grid, so they may repeat a value in a group.
+    Enough cells are given that brute_force stays under n ** 7 candidates.
+    """
+    n = draw(st.integers(2, 4))
+    square = draw(latin_squares(n))
+    if draw(st.booleans()):
+        by_value = [
+            draw(st.permutations([i + 1 for i in range(n * n) if square[i] == v]))
+            for v in range(1, n + 1)
+        ]
+        regions = [sorted(cells[r] for cells in by_value) for r in range(n)]
+    else:
+        order = draw(st.permutations(range(1, n * n + 1)))
+        regions = [sorted(order[r * n : (r + 1) * n]) for r in range(n)]
+    grid = draw(st.one_of(st.just(square), grids(n)))
+    count = draw(st.integers(n * n - {2: 4, 3: 7, 4: 6}[n], n * n))
+    cells = draw(st.permutations(range(1, n * n + 1)))[:count]
+    return n, regions, [(c, grid[c - 1]) for c in cells]
+
+
+def test_random_gerechte_solutions_match_the_oracles():
+    kinds = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(gerechte_problem())
+    @example((3, [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [(1, 1), (5, 1)]))  # regions = rows
+    def check(problem):
+        n, regions, givens = problem
+        spec = make_gerechte_spec(Partition(n, regions), givens)
+        outcome = solve(spec)
+        found = {s.cells for s in outcome.solutions}
+        assert outcome.exhausted
+        assert found == {s.cells for s in brute_force(spec).solutions}
+        if n == 3:
+            assert found == set(count_grids_by_row_product(3, regions, givens)[1])
+        value = dict(givens)
+        groups = regions + [list(range(r * n + 1, r * n + n + 1)) for r in range(n)]
+        groups += [list(range(c + 1, n * n + 1, n)) for c in range(n)]
+        held = [[value[c] for c in group if c in value] for group in groups]
+        repeats = any(len(h) != len(set(h)) for h in held)
+        assert bool(outcome.diagnostics) == repeats
+        kinds.add("conflict" if repeats else "solved" if found else "none")
+
+    check()
+    assert kinds == {"solved", "none", "conflict"}
