@@ -103,20 +103,20 @@ def _report_line(report: NecessityReport) -> str:
 
 
 def _cmd_solve(args) -> int:
-    _, problem = load_problem(args.file)
+    problem = load_problem(args.file)
     outcome = solve(problem, cap=args.cap)
     return _print_outcome(outcome, args.format)
 
 
 def _cmd_oracle(args) -> int:
-    _, problem = load_problem(args.file)
+    problem = load_problem(args.file)
     outcome = brute_force(problem)
     return _print_outcome(outcome, "text")
 
 
 def _load_solution(args):
     """The puzzle's problem and the solution file's grid, of the same size."""
-    _, problem = load_problem(args.file)
+    problem = load_problem(args.file)
     doc = load_puzzle(args.solution)
     if doc.n != problem.n:
         sizes = f"solution grid is {doc.n}x{doc.n}, puzzle is {problem.n}x{problem.n}"

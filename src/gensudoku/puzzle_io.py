@@ -23,44 +23,31 @@ from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_l
 
 @dataclass(frozen=True)
 class PuzzleDocument:
-    """Parsed puzzle file: grid with 0 for blanks, optional region path.
+    """Parsed puzzle file: row-major cells with 0 for blanks, optional region path.
 
-    ``first_row_line`` is the line number of the grid's first row; it is
-    None for the 81-character form, whose cells are the columns of line 1.
+    ``first_blank`` is the (line, column) where the parser read the first
+    blank cell, or None when no cell is blank.
     """
 
     n: int
-    grid: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
     region_path: Optional[str] = None
     source_name: str = "<string>"
-    first_row_line: Optional[int] = None
+    first_blank: Optional[tuple[int, int]] = None
 
     def givens(self) -> tuple[tuple[int, int], ...]:
         """Non-blank cells as (row-major 1-based index, value) pairs."""
-        n = self.n
-        return tuple(
-            ((r - 1) * n + c, self.grid[r - 1][c - 1])
-            for r in range(1, n + 1)
-            for c in range(1, n + 1)
-            if self.grid[r - 1][c - 1] != 0
-        )
+        return tuple((i, v) for i, v in enumerate(self.cells, 1) if v)
 
     def assignment(self) -> Assignment:
-        """The grid as an assignment; a blank raises PuzzleFormatError at its place."""
-        cells = tuple(v for row in self.grid for v in row)
-        if 0 in cells:
-            index = cells.index(0)
-            if self.first_row_line is None:
-                line, column = 1, index + 1
-            else:
-                line, column = self.first_row_line + index // self.n, index % self.n + 1
+        """The cells as an assignment; a blank raises PuzzleFormatError at its place."""
+        if self.first_blank is not None:
             raise PuzzleFormatError(
                 "grid has blank cells, not a full assignment",
-                line,
-                column,
+                *self.first_blank,
                 source_name=self.source_name,
             )
-        return Assignment(self.n, cells)
+        return Assignment(self.n, self.cells)
 
 
 def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
@@ -87,16 +74,15 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
         region_path = parts[1].strip()
         row_start = 2
 
-    rows = []
-    lineno = row_start
+    cells: list[int] = []
+    first_blank = None
     for r in range(n):
         lineno = row_start + r + 1
-        if row_start + r >= len(lines):
+        if lineno > len(lines):
             raise fail(f"expected {n} grid rows, found {r}", lineno)
-        tokens = lines[row_start + r].split()
+        tokens = lines[lineno - 1].split()
         if len(tokens) != n:
             raise fail(f"expected {n} values, got {len(tokens)}", lineno)
-        row = []
         for c, token in enumerate(tokens, start=1):
             try:
                 value = int(token)
@@ -104,60 +90,61 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
                 raise fail(f"value {token!r} is not an integer", lineno, c)
             if not 0 <= value <= n:
                 raise fail(f"value {value} outside 0..{n}", lineno, c)
-            row.append(value)
-        rows.append(tuple(row))
-    trailing = next(
-        (
-            row_start + n + i + 1
-            for i, line in enumerate(lines[row_start + n :])
-            if line.strip()
-        ),
-        None,
-    )
-    if trailing is not None:
-        raise fail("unexpected content after the grid", trailing)
-    return PuzzleDocument(n, tuple(rows), region_path, source_name, row_start + 1)
+            if value == 0 and first_blank is None:
+                first_blank = (lineno, c)
+            cells.append(value)
+    for lineno, line in enumerate(lines[row_start + n :], row_start + n + 1):
+        if line.strip():
+            raise fail("unexpected content after the grid", lineno)
+    return PuzzleDocument(n, tuple(cells), region_path, source_name, first_blank)
 
 
 def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument:
-    """81-character digit/'.' shorthand for 9x9 grids; '.' and '0' are blanks."""
+    """81-character digit/'.' shorthand for 9x9 grids; '.' and '0' are blanks.
+
+    The characters stand on one line of the text; positions are that line
+    (numbered as ``str.splitlines`` splits, from 1) and the column in it.
+    """
     fail = partial(PuzzleFormatError, source_name=source_name)
-    compact = text.strip()
+    filled = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if len(filled) > 1:
+        message = f"expected 81 characters on one line, found {len(filled)} lines"
+        raise fail(message, filled[0][0])
+    lineno, line = filled[0] if filled else (1, "")
+    compact = line.strip()
     if len(compact) != 81:
-        raise fail(f"expected 81 characters, got {len(compact)}", 1)
-    grid = []
-    for r in range(9):
-        row = []
-        for c in range(9):
-            ch = compact[r * 9 + c]
-            if ch in ".0":
-                row.append(0)
-            elif ch.isdecimal():
-                row.append(int(ch))
-            else:
-                raise fail(f"character {ch!r} is not a digit or '.'", 1, r * 9 + c + 1)
-        grid.append(tuple(row))
-    return PuzzleDocument(9, tuple(grid), None, source_name)
+        raise fail(f"expected 81 characters, got {len(compact)}", lineno)
+    start = len(line) - len(line.lstrip()) + 1
+    cells: list[int] = []
+    for column, ch in enumerate(compact, start):
+        if ch in ".0":
+            cells.append(0)
+        elif ch.isdecimal():
+            cells.append(int(ch))
+        else:
+            raise fail(f"character {ch!r} is not a digit or '.'", lineno, column)
+    first_blank = (lineno, start + cells.index(0)) if 0 in cells else None
+    return PuzzleDocument(9, tuple(cells), None, source_name, first_blank)
 
 
 def parse_regions(text: str, source_name: str = "<string>") -> Partition:
     """Label grid -> partition; groups ordered by first appearance."""
     fail = partial(PuzzleFormatError, source_name=source_name)
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    rows = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not rows:
         raise fail("empty region file", 1)
-    n = len(lines)
+    n = len(rows)
     order: list[str] = []
     cells: dict[str, list[int]] = {}
-    for r, line in enumerate(lines, start=1):
+    for r, (lineno, line) in enumerate(rows):
         tokens = line.split()
         if len(tokens) != n:
-            raise fail(f"expected {n} labels, got {len(tokens)}", r)
+            raise fail(f"expected {n} labels, got {len(tokens)}", lineno)
         for c, label in enumerate(tokens, start=1):
             if label not in cells:
                 order.append(label)
                 cells[label] = []
-            cells[label].append((r - 1) * n + c)
+            cells[label].append(r * n + c)
     groups = tuple(tuple(cells[label]) for label in order)
     return Partition(n, groups)
 
@@ -215,7 +202,6 @@ def build_problem(doc: PuzzleDocument, base_dir: Optional[Path] = None) -> Probl
     return make_latin_spec(doc.n, doc.givens())
 
 
-def load_problem(path: str | Path) -> tuple[PuzzleDocument, ProblemSpec]:
+def load_problem(path: str | Path) -> ProblemSpec:
     path = Path(path)
-    doc = load_puzzle(path)
-    return doc, build_problem(doc, base_dir=path.parent)
+    return build_problem(load_puzzle(path), base_dir=path.parent)

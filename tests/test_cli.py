@@ -238,11 +238,12 @@ class TestErrors:
         assert err.startswith(f"error: {puzzle}: line 1, column 1: ")
 
     def test_bad_region_file_names_its_path(self, tmp_path, capsys):
-        regions = write(tmp_path, "part.txt", "a a b\na b b\nc c\n")
         puzzle = write(tmp_path, "p.txt", "n 3\nregions part.txt\n0 0 0\n0 0 0\n0 0 0\n")
-        assert run_cli(["solve", puzzle]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {regions}: line 3: expected 3 labels, got 2\n"
+        for text, line in (("a a b\na b b\nc c\n", 3), ("a a b\n\na b b\nc c\n", 4)):
+            regions = write(tmp_path, "part.txt", text)
+            assert run_cli(["solve", puzzle]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {regions}: line {line}: expected 3 labels, got 2\n"
 
     @pytest.mark.parametrize(
         "puzzle_text, solved_text, where",
@@ -258,8 +259,13 @@ class TestErrors:
                 SOLVED9[:40] + "." + SOLVED9[41:] + "\n",
                 "line 1, column 41",
             ),
+            (
+                "." * 81 + "\n",
+                "\n\n   " + SOLVED9[:40] + "." + SOLVED9[41:] + "\n",
+                "line 3, column 44",
+            ),
         ],
-        ids=["grid", "after-regions-line", "81-characters"],
+        ids=["grid", "after-regions-line", "81-characters", "81-characters-indented"],
     )
     def test_blank_in_solution_names_its_line_and_column(
         self, tmp_path, capsys, puzzle_text, solved_text, where

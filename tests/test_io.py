@@ -69,8 +69,8 @@ class TestDotString:
                "7...2...6" ".6....28." "...419..5" "....8..79"
         doc = parse_dot_string(text)
         assert doc.n == 9
-        assert doc.grid[0][0] == 5
-        assert doc.grid[0][2] == 0
+        assert doc.cells[0] == 5
+        assert doc.cells[2] == 0
         assert len(doc.givens()) == 30
 
     def test_wrong_length(self):
@@ -82,7 +82,26 @@ class TestDotString:
         with pytest.raises(PuzzleFormatError) as info:
             parse_dot_string("²" + "." * 80)
         assert (info.value.line, info.value.column) == (1, 1)
-        assert parse_dot_string("٣" + "." * 80).grid[0][0] == 3
+        assert parse_dot_string("٣" + "." * 80).cells[0] == 3
+
+    def test_positions_are_the_line_and_column_in_the_text(self):
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_dot_string("\n\n   " + "." * 40 + "x" + "." * 40)
+        assert str(info.value) == (
+            "<string>: line 3, column 44: character 'x' is not a digit or '.'"
+        )
+        doc = parse_dot_string("\n\n   " + "1" * 40 + "." * 41 + "  \n")
+        assert doc.first_blank == (3, 44)
+
+    def test_characters_on_more_than_one_line(self):
+        # The first non-blank line is named; no line break is quoted as a cell.
+        for text, line in (("12345\n" + "." * 75, 1), ("\n12345\n" + "." * 75, 2)):
+            with pytest.raises(PuzzleFormatError) as info:
+                parse_dot_string(text)
+            assert str(info.value) == (
+                f"<string>: line {line}: "
+                "expected 81 characters on one line, found 2 lines"
+            )
 
 
 class TestParseRegions:
@@ -101,6 +120,17 @@ class TestParseRegions:
     def test_uneven_rows_rejected(self):
         with pytest.raises(PuzzleFormatError):
             parse_regions("a a\na\n")
+
+    def test_row_error_names_the_line_blank_lines_included(self):
+        for text, line in (("a a\n\nb\n", 3), ("\n\na a\nb\n", 4)):
+            with pytest.raises(PuzzleFormatError) as info:
+                parse_regions(text)
+            assert str(info.value) == f"<string>: line {line}: expected 2 labels, got 1"
+
+    def test_blank_lines_do_not_shift_the_cells(self):
+        assert parse_regions("\na a c\n\na b c\nb b c\n\n") == parse_regions(
+            "a a c\na b c\nb b c\n"
+        )
 
     def test_unbalanced_groups_rejected(self):
         from gensudoku import InvalidPartitionError
@@ -141,7 +171,7 @@ class TestBuildProblem:
         (tmp_path / "part.txt").write_text("a a c\na b c\nb b c\n")
         puzzle = tmp_path / "puzzle.txt"
         puzzle.write_text("n 3\nregions part.txt\n2 1 3\n3 2 1\n1 3 2\n")
-        doc, spec = load_problem(puzzle)
+        doc, spec = parse_puzzle(puzzle.read_text()), load_problem(puzzle)
         assert doc.region_path == "part.txt"
         assert spec.constraints[2].images == (1, 2, 4, 3, 6, 9, 5, 7, 8)
 

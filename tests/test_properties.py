@@ -2,13 +2,16 @@
 and ``solve`` finds exactly the oracles' solutions on random gerechte problems.
 
 Any text given to a parser yields a document or a typed format error, and
-``run_cli`` on generated puzzle, region and solution files (n <= 4, or
-arbitrary bytes) returns an exit code of 0, 1 or 2 and raises nothing.
+each line and column it reports points at the text it names.  ``run_cli``
+on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
+returns an exit code of 0, 1 or 2 and raises nothing.
 Example counts are bounded so that the whole module runs in a few seconds.
 """
 
+import ast
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -33,22 +36,71 @@ from test_acceptance import count_grids_by_row_product
 # are not ASCII: "²" is a digit int() rejects, "٣" a decimal digit it reads.
 GRID_CHARS = "n regions0123456789.-\n\t²٣ab\x00"
 TEXT = st.text(st.one_of(st.sampled_from(GRID_CHARS), st.characters()), max_size=120)
-DOT_STRINGS = st.text(st.sampled_from("0123456789.²٣x "), min_size=79, max_size=83)
+# Leading newlines and spaces move the 81-character form off line 1, column 1.
+DOT_STRINGS = st.builds(
+    str.__add__,
+    st.text(st.sampled_from("\n "), max_size=4),
+    st.text(st.sampled_from("0123456789.²٣x "), min_size=79, max_size=83),
+)
+
+
+def check_error_position(lines, exc):
+    """The error's line is in the text (or one past it, a missing row) and
+    holds what the message counts or quotes."""
+    assert 1 <= exc.line <= len(lines) + 1
+    column = "" if exc.column is None else f", column {exc.column}"
+    prefix = f"<string>: line {exc.line}{column}: "
+    assert str(exc).startswith(prefix)
+    message = str(exc)[len(prefix) :]
+    line = lines[exc.line - 1] if exc.line <= len(lines) else ""
+    count = re.fullmatch(r"expected \d+ (values|labels|characters), got (\d+)", message)
+    if count:
+        found = len(line.strip()) if count[1] == "characters" else len(line.split())
+        assert found == int(count[2])
+    quoted = re.fullmatch(r"character (.+) is not a digit or '\.'", message)
+    if quoted:
+        assert line[exc.column - 1] == ast.literal_eval(quoted[1])
+
+
+def check_first_blank(lines, doc, grid_form):
+    """``first_blank`` is None without blanks, else where the first one was read."""
+    assert (doc.first_blank is None) == (0 not in doc.cells)
+    if doc.first_blank is None:
+        return
+    (line, column), i = doc.first_blank, doc.cells.index(0)
+    text = lines[line - 1]
+    if grid_form:
+        row = doc.cells[i - column + 1 : i - column + 1 + doc.n]
+        assert [int(token) for token in text.split()] == list(row)
+    else:
+        assert column == len(text) - len(text.lstrip()) + i + 1
+        assert text[column - 1] in ".0"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(TEXT, DOT_STRINGS))
+@example("n 2\nregions r\n1 0\n0 0\n")
+@example("\n\n  " + "1" * 40 + "." * 41)
+@example("\n\n  " + "." * 40 + "x" + "." * 40)
+@example("a a\n\nb\n")
 def test_parsers_return_a_document_or_a_format_error(text):
-    for parse in (parse_puzzle, parse_dot_string):
+    # Every line and column a parser reports points at the text it names.
+    lines = text.splitlines()
+    for parse in (parse_puzzle, parse_dot_string, parse_regions):
         try:
-            assert isinstance(parse(text), PuzzleDocument)
-        except PuzzleFormatError:
-            pass
-    # A label grid of the right shape can still not partition the cells.
-    try:
-        assert isinstance(parse_regions(text), Partition)
-    except (PuzzleFormatError, InvalidPartitionError):
-        pass
+            result = parse(text)
+        except PuzzleFormatError as exc:
+            check_error_position(lines, exc)
+            continue
+        except InvalidPartitionError:
+            # A label grid of the right shape can still not partition the cells.
+            assert parse is parse_regions
+            continue
+        if parse is parse_regions:
+            assert isinstance(result, Partition)
+        else:
+            assert isinstance(result, PuzzleDocument)
+            check_first_blank(lines, result, grid_form=parse is parse_puzzle)
 
 
 def latin_squares(n):
