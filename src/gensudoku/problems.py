@@ -156,10 +156,15 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  Cell selection is
-    most-constrained-first with ties broken by lowest index; candidate
-    values are tried ascending.  Every emitted solution is certified by the
-    defining system (``verify_solution``) alone, else SelfCheckError: the
+    the interpreter's recursion limit.  Each node scans the free cells
+    most-constrained-first (MRV), ties broken by lowest index, and stops at
+    a count of 0 or 1.  Otherwise one pass over the distinct groups, in
+    order, looks for a value missing from a group: if no free cell there can
+    take it the node is a dead end; if one cell can (a hidden single), that
+    cell gets that value.  Failing both, the MRV cell is branched on, values
+    ascending.  Against MRV alone this lowers 9x9 node counts and leaves the
+    4x4 enumeration order as it was.  Every emitted solution is certified by
+    the defining system (``verify_solution``) alone, else SelfCheckError: the
     reconstruction identity and the givens' reconstructions follow from it
     (``sign_sum_closed_form``: a permutation of 1..n reconstructs to itself).
     ``selfcheck`` is accepted and ignored.  ``cap`` below 1 raises
@@ -198,20 +203,23 @@ def solve(
             used[gid] |= 1 << value
 
     unassigned = [i for i in range(total) if values[i] == 0]
+    cand = [0] * total  # candidate mask per free cell at this node, 0 if filled
     stack: list[tuple[int, int]] = []  # (cell, values still to try there)
     while True:
-        # Most-constrained free cell, lowest index on ties; stop at a dead end.
+        # Most-constrained free cell, lowest index on ties; stop at a count <= 1.
         best, best_count, best_mask = None, n + 1, 0
         for i in unassigned:
             if values[i]:
+                cand[i] = 0
                 continue
             mask = full
             for gid in cell_groups[i]:
                 mask &= ~used[gid]
+            cand[i] = mask
             count = mask.bit_count()
             if count < best_count:
                 best, best_count, best_mask = i, count, mask
-                if count == 0:
+                if count <= 1:
                     break
         if best is None:
             sol = Assignment(n, tuple(values))
@@ -224,6 +232,26 @@ def solve(
             if cap is not None and len(outcome.solutions) >= cap:
                 return outcome
         else:
+            if best_count >= 2:
+                # Every group holds each value once, so a value missing from
+                # a group goes in exactly one of its free cells: a value no
+                # cell there can take is a dead end, and one that a single
+                # cell can take (a hidden single) is placed there outright.
+                for gid, group in enumerate(groups):
+                    ones = twos = 0  # values one / two or more cells can take
+                    for cell in group:
+                        m = cand[cell]
+                        twos |= ones & m
+                        ones |= m
+                    missing = full & ~used[gid]
+                    if missing & ~ones:
+                        best_mask = 0
+                        break
+                    single = missing & ~twos
+                    if single:
+                        best_mask = single & -single
+                        best = next(c for c in group if cand[c] & best_mask)
+                        break
             stack.append((best, best_mask))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:

@@ -172,8 +172,9 @@ def read_text(path: str | Path) -> str:
 def load_puzzle(path: str | Path) -> PuzzleDocument:
     path = Path(path)
     text = read_text(path)
-    stripped = [line for line in text.splitlines() if line.strip()]
-    if len(stripped) == 1 and len(stripped[0].strip()) == 81:
+    # One non-blank line that is not an 'n <n>' header is the 81-character form.
+    filled = [line.split() for line in text.splitlines() if line.strip()]
+    if len(filled) == 1 and filled[0][0] != "n":
         return parse_dot_string(text, source_name=str(path))
     return parse_puzzle(text, source_name=str(path))
 

@@ -301,9 +301,8 @@ def test_criterion_8_every_solution_passes_the_reconstruction_check(capsys):
 
 
 def test_search_nodes_and_order_are_pinned():
-    # Node counts and solutions of the search as they stood while it was a
-    # recursive closure over every constraint's groups; dropping repeated
-    # groups and running it as an explicit-stack loop must change none of them.
+    # Node counts and solution order of the search, pinned so that a change
+    # to its branching rule shows here and is made on purpose.
     nodes = []
     for fixture in SUDOKU_9X9_FIXTURES:
         spec = make_classic_spec(9, parse_dot_string(fixture).givens())
@@ -312,7 +311,13 @@ def test_search_nodes_and_order_are_pinned():
         # bench/ still passes selfcheck; it must stay accepted and ignored.
         assert solve(spec, cap=2, selfcheck=False) == outcome
         nodes.append(outcome.nodes_explored)
-    assert nodes == [51, 49, 81, 166, 2231]
+    assert nodes == [51, 49, 51, 51, 1712]
+    # Arto Inkala's puzzle and its unique solution, as bench/corpus.py stores them.
+    inkala = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
+    inkala_solution = "812753649943682175675491283154237896369845721287169534521974368438526917796318452"
+    outcome = solve(make_classic_spec(9, parse_dot_string(inkala).givens()), cap=2)
+    assert outcome.exhausted and outcome.nodes_explored == 3757
+    assert [s.cells for s in outcome.solutions] == [tuple(map(int, inkala_solution))]
     pinned = (
         (
             make_latin_spec(4),
@@ -346,6 +351,13 @@ def test_search_nodes_and_order_are_pinned():
     dead = solve(dead_spec)
     assert solve(dead_spec, selfcheck=False) == dead
     assert (dead.nodes_explored, dead.solutions, dead.exhausted) == (0, [], True)
+    # Every cell has a candidate, but 4 has no place in row 2: columns 1-3
+    # hold a 4 and cell 8 holds 2.  A root dead end too.
+    dead_place = solve(make_latin_spec(4, givens=((13, 4), (11, 2), (3, 4), (10, 4), (8, 2))))
+    assert (
+        dead_place.nodes_explored, dead_place.solutions, dead_place.exhausted,
+        dead_place.diagnostics,
+    ) == (0, [], True, [])
 
 
 def test_criterion_9_negative_suite(capsys):

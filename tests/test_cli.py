@@ -237,6 +237,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {puzzle}: line 1, column 1: ")
 
+    @pytest.mark.parametrize("length", [80, 82])
+    def test_dot_string_of_wrong_length_names_the_count(self, tmp_path, capsys, length):
+        puzzle = write(tmp_path, "p.txt", "." * length + "\n")
+        assert run_cli(["solve", puzzle]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {puzzle}: line 1: expected 81 characters, got {length}\n"
+
+    def test_one_line_header_is_still_a_header(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", "n 4\n")
+        assert run_cli(["solve", puzzle]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {puzzle}: line 2: expected 4 grid rows, found 0\n"
+
     def test_bad_region_file_names_its_path(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 3\nregions part.txt\n0 0 0\n0 0 0\n0 0 0\n")
         for text, line in (("a a b\na b b\nc c\n", 3), ("a a b\n\na b b\nc c\n", 4)):

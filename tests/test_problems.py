@@ -1,5 +1,6 @@
 import random
 import sys
+from contextlib import contextmanager
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -54,6 +55,21 @@ def count_latin_squares(n, givens=()):
             extend(grid + [row])
     extend([])
     return count, squares
+
+
+@contextmanager
+def _recursion_limit_near_here():
+    """Allow about 100 Python frames above the caller's while the block runs."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestVerifySolution:
@@ -222,18 +238,22 @@ class TestSolve:
     def test_search_depth_does_not_use_the_call_stack(self):
         # An empty Latin 16x16 has 256 free cells: a recursive search would
         # need one frame per placed cell, far beyond 100 above this frame.
-        spec = make_latin_spec(16)
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
-            outcome = solve(spec, cap=1)
-        finally:
-            sys.setrecursionlimit(limit)
+        with _recursion_limit_near_here():
+            outcome = solve(make_latin_spec(16), cap=1)
         assert len(outcome.solutions) == 1 and not outcome.exhausted
+
+    def test_empty_classic_25x25_finishes(self):
+        # MRV alone stalls here; hidden singles and dead places finish it.
+        # Its 625 free cells are placed on the explicit stack, not the
+        # call stack.
+        spec = make_classic_spec(25)
+        with _recursion_limit_near_here():
+            outcome = solve(spec, cap=1)
+        assert len(outcome.solutions) == 1 and not outcome.exhausted
+        assert outcome.nodes_explored == 628
+        (sol,) = outcome.solutions
+        assert verify_solution(spec, sol).ok
+        assert all(r.holds for r in check_necessary(spec, sol))
 
     def test_givens_respected_in_all_solutions(self):
         outcome = solve(make_latin_spec(3, givens=((5, 1),)))
