@@ -96,6 +96,28 @@ class ProblemSpec:
             for groups in self.compiled_groups
         ]
 
+    @cached_property
+    def group_index(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``(groups, cell_groups, peers)``: the distinct groups, by cell.
+
+        ``groups`` is ``compiled_groups`` with repeats dropped: a group two
+        constraints list (Latin's columns) restricts nothing more and is
+        kept once, at its first place in constraint order.  Per cell,
+        ``cell_groups`` holds the ids of its groups and ``peers`` the other
+        cells of those groups.  Built on first use and kept for the life of
+        the spec.
+        """
+        groups = tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
+        cell_groups: list[list[int]] = [[] for _ in range(self.n * self.n)]
+        for gid, group in enumerate(groups):
+            for cell in group:
+                cell_groups[cell].append(gid)
+        peers = tuple(
+            tuple(set().union(*(groups[gid] for gid in gids)) - {cell})
+            for cell, gids in enumerate(cell_groups)
+        )
+        return groups, tuple(map(tuple, cell_groups)), peers
+
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -148,6 +170,25 @@ class SolveOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
+def _certifies(problem: ProblemSpec, values: list[int]) -> bool:
+    """Whether a filled grid solves the defining system, in one bitmask pass.
+
+    A group of n cells holds a permutation of 1..n exactly when the OR of
+    ``1 << value`` over its cells is bits 1..n; a value out of range sets a
+    bit outside them.  Such a group has no zero difference and, by
+    ``sign_sum_closed_form``, reconstructs to itself.  The givens must stand.
+    """
+    full = ((1 << problem.n) - 1) << 1
+    groups, _, _ = problem.group_index
+    for group in groups:
+        seen = 0
+        for cell in group:
+            seen |= 1 << values[cell]
+        if seen != full:
+            return False
+    return all(values[cell - 1] == value for cell, value in problem.givens)
+
+
 def solve(
     problem: ProblemSpec,
     cap: Optional[int] = None,
@@ -156,39 +197,40 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  Each node scans the free cells
-    most-constrained-first (MRV), ties broken by lowest index, and stops at
-    a count of 0 or 1.  Otherwise one pass over the distinct groups, in
-    order, looks for a value missing from a group: if no free cell there can
-    take it the node is a dead end; if one cell can (a hidden single), that
-    cell gets that value.  Failing both, the MRV cell is branched on, values
-    ascending.  Against MRV alone this lowers 9x9 node counts and leaves the
-    4x4 enumeration order as it was.  Every emitted solution is certified by
-    the defining system (``verify_solution``) alone, else SelfCheckError: the
-    reconstruction identity and the givens' reconstructions follow from it
-    (``sign_sum_closed_form``: a permutation of 1..n reconstructs to itself).
-    ``selfcheck`` is accepted and ignored.  ``cap`` below 1 raises
+    the interpreter's recursion limit.  It reads the spec's ``group_index``
+    and keeps each free cell's candidate mask current: placing v clears bit
+    v from the free peers that hold it and pushes them on a trail, and
+    undoing the value restores exactly the peers pushed since its frame's
+    trail mark.  Each node scans the free cells most-constrained-first
+    (MRV), ties broken by lowest index, and stops at a count of 0 or 1.
+    Otherwise one pass over the distinct groups, in order, looks for a value
+    missing from a group: if no free cell there can take it the node is a
+    dead end; if one cell can (a hidden single), that cell gets that value.
+    Failing both, the MRV cell is branched on, values ascending.  Every
+    emitted solution is certified by one OR of ``1 << value`` per distinct
+    group, plus the givens (``_certifies``); ``verify_solution`` only words
+    the SelfCheckError when that fails.  ``selfcheck`` is accepted and
+    ignored.  A ``cap`` that is not an int, or is below 1, raises
     InvalidCapError.
     """
-    if cap is not None and cap < 1:
-        raise InvalidCapError(f"cap must be >= 1, got {cap}")
+    if cap is not None:
+        if type(cap) is not int:
+            raise InvalidCapError(f"cap must be an int, got {type(cap).__name__}")
+        if cap < 1:
+            raise InvalidCapError(f"cap must be >= 1, got {cap}")
     outcome = SolveOutcome()
     n = problem.n
     total = n * n
     full = ((1 << n) - 1) << 1  # bits 1..n
+    groups, cell_groups, peers = problem.group_index
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # One sweep over the distinct groups (a group two constraints list, as
-    # Latin's repeated columns, restricts nothing more and is kept once):
-    # index each cell's groups, mark the givens' values per group, and stop
-    # at the first group, in constraint order, holding a value twice.
-    groups = dict.fromkeys(group for per in problem.compiled_groups for group in per)
-    cell_groups: list[list[int]] = [[] for _ in range(total)]
+    # Mark the givens' values per group, and stop at the first group, in
+    # constraint order, holding a value twice.
     used = [0] * len(groups)  # bitmask of values present per group
     for gid, group in enumerate(groups):
         for cell in group:
-            cell_groups[cell].append(gid)
             value = values[cell]
             if not value:
                 continue
@@ -203,47 +245,52 @@ def solve(
             used[gid] |= 1 << value
 
     unassigned = [i for i in range(total) if values[i] == 0]
-    cand = [0] * total  # candidate mask per free cell at this node, 0 if filled
-    stack: list[tuple[int, int]] = []  # (cell, values still to try there)
+    cand = [0] * total  # candidate mask per free cell, 0 for a filled one
+    for i in unassigned:
+        mask = full
+        for gid in cell_groups[i]:
+            mask &= ~used[gid]
+        cand[i] = mask
+    trail: list[int] = []  # peers whose candidate bit a placement cleared
+    # (cell, values still to try there, its mask before placing, trail mark)
+    stack: list[tuple[int, int, int, int]] = []
     while True:
         # Most-constrained free cell, lowest index on ties; stop at a count <= 1.
-        best, best_count, best_mask = None, n + 1, 0
+        best, best_count = None, n + 1
         for i in unassigned:
             if values[i]:
-                cand[i] = 0
                 continue
-            mask = full
-            for gid in cell_groups[i]:
-                mask &= ~used[gid]
-            cand[i] = mask
-            count = mask.bit_count()
+            count = cand[i].bit_count()
             if count < best_count:
-                best, best_count, best_mask = i, count, mask
+                best, best_count = i, count
                 if count <= 1:
                     break
         if best is None:
             sol = Assignment(n, tuple(values))
-            result = verify_solution(problem, sol)
-            if not result.ok:
+            if not _certifies(problem, values):
+                detail = verify_solution(problem, sol).detail
                 raise SelfCheckError(
-                    f"search emitted an invalid solution: {result.detail}", sol
+                    f"search emitted an invalid solution: {detail}", sol
                 )
             outcome.solutions.append(sol)
             if cap is not None and len(outcome.solutions) >= cap:
                 return outcome
         else:
+            best_mask = cand[best]
             if best_count >= 2:
                 # Every group holds each value once, so a value missing from
                 # a group goes in exactly one of its free cells: a value no
                 # cell there can take is a dead end, and one that a single
                 # cell can take (a hidden single) is placed there outright.
                 for gid, group in enumerate(groups):
+                    missing = full & ~used[gid]
+                    if not missing:
+                        continue
                     ones = twos = 0  # values one / two or more cells can take
                     for cell in group:
                         m = cand[cell]
                         twos |= ones & m
                         ones |= m
-                    missing = full & ~used[gid]
                     if missing & ~ones:
                         best_mask = 0
                         break
@@ -252,23 +299,32 @@ def solve(
                         best_mask = single & -single
                         best = next(c for c in group if cand[c] & best_mask)
                         break
-            stack.append((best, best_mask))
+            stack.append((best, best_mask, cand[best], len(trail)))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
-            cell, mask = stack.pop()
+            cell, mask, saved, mark = stack.pop()
             if values[cell]:
                 bit = 1 << values[cell]
                 for gid in cell_groups[cell]:
                     used[gid] &= ~bit
+                for peer in trail[mark:]:
+                    cand[peer] |= bit
+                del trail[mark:]
             if mask:
                 bit = mask & -mask
                 outcome.nodes_explored += 1
                 values[cell] = bit.bit_length() - 1
+                cand[cell] = 0
                 for gid in cell_groups[cell]:
                     used[gid] |= bit
-                stack.append((cell, mask ^ bit))
+                for peer in peers[cell]:
+                    if cand[peer] & bit:
+                        cand[peer] ^= bit
+                        trail.append(peer)
+                stack.append((cell, mask ^ bit, saved, mark))
                 break
             values[cell] = 0
+            cand[cell] = saved
         else:
             outcome.exhausted = True
             return outcome

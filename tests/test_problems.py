@@ -12,10 +12,10 @@ from gensudoku import (
     GenSudokuError,
     InvalidCapError,
     Partition,
+    ProblemSpec,
     SearchSpaceError,
     SelfCheckError,
     SpecError,
-    VerificationResult,
     brute_force,
     build_difference_matrix,
     check_givens,
@@ -192,16 +192,49 @@ class TestSolve:
         with pytest.raises(InvalidCapError, match=f"got {cap}$"):
             solve(make_latin_spec(3), cap=cap)
 
+    @pytest.mark.parametrize(
+        "cap,kind", [(1.5, "float"), (2.0, "float"), (True, "bool"), ("2", "str")]
+    )
+    def test_cap_not_an_int_rejected(self, cap, kind):
+        with pytest.raises(InvalidCapError, match=f"cap must be an int, got {kind}$"):
+            solve(make_latin_spec(3), cap=cap)
+
     def test_selfcheck_failure_carries_grid(self, monkeypatch):
-        failing = VerificationResult(False, "constraint", "injected failure")
-        monkeypatch.setattr(gensudoku.problems, "verify_solution", lambda p, x: failing)
-        with pytest.raises(SelfCheckError) as info:
+        # The search's own certificate rejects the grid; verify_solution,
+        # which accepts it, only words the error.
+        monkeypatch.setattr(gensudoku.problems, "_certifies", lambda p, values: False)
+        with pytest.raises(SelfCheckError, match="invalid solution: all clauses hold") as info:
             solve(make_latin_spec(2))
         assert info.value.grid == Assignment(2, (1, 2, 2, 1))
 
+    def test_certificate_agrees_with_verify_solution(self):
+        # Grids of the spec without its givens, some with cells set to a
+        # value in 0..n + 1: repeats, out-of-range values and givens that
+        # do not stand, alone or together.
+        rng = random.Random(43)
+        regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
+        for spec in (
+            make_latin_spec(3, givens=((5, 2),)),
+            make_classic_spec(4, givens=((1, 1), (16, 1))),
+            make_gerechte_spec(Partition(4, regions), givens=((6, 3),)),
+        ):
+            n = spec.n
+            unconstrained = ProblemSpec(n, spec.constraints)
+            grids = [s.cells for s in solve(unconstrained).solutions]
+            clauses = set()
+            for _ in range(300):
+                cells = list(rng.choice(grids))
+                for _ in range(rng.choice((0, 0, 1, 2))):
+                    cells[rng.randrange(n * n)] = rng.randint(0, n + 1)
+                result = verify_solution(spec, Assignment(n, cells))
+                assert gensudoku.problems._certifies(spec, cells) == result.ok
+                clauses.add(result.clause)
+            assert clauses == {None, "range", "constraint", "given"}
+
     def test_solutions_pass_all_checks(self):
-        # solve certifies with verify_solution only; the reconstruction
-        # identity and the givens check are the oracles run here.
+        # solve certifies with its one-pass bitmask check only;
+        # verify_solution, the reconstruction identity and the givens check
+        # are the oracles run here.
         regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
         _, latin4 = count_latin_squares(4)
         gerechte4 = [

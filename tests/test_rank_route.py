@@ -28,6 +28,7 @@ from gensudoku import (
     solve,
     verify_solution,
 )
+from gensudoku.problems import _certifies
 
 GRIDS_PER_SPEC = 60
 
@@ -148,11 +149,13 @@ def test_rank_route_matches_matrix_route(name, base):
         assert givens_outcome(check_givens, spec, x) == givens_outcome(
             matrix_givens, spec, x
         )
-        # solve certifies its solutions with verify_solution alone: the
-        # defining system must imply the identity and the givens check.
+        # The defining system must imply the identity and the givens check,
+        # and solve's one-pass certificate must accept exactly what it does.
         if result.ok:
             assert all(r.holds for r in reports)
             assert check_givens(spec, x).ok
+        if min(x.cells) >= 0:
+            assert _certifies(spec, x.cells) == result.ok
 
         for report, groups in zip(reports, spec.constraint_groups()):
             if report.reconstructed is None:

@@ -79,7 +79,11 @@ OTHER_ROUTES = {"check_necessary", "check_givens", "reconstruct"}
 
 
 def other_route(node):
-    """Whether a problems.py node reaches a certificate besides verify_solution."""
+    """Whether a problems.py node reaches a certificate besides its own.
+
+    ``solve`` certifies with its one-pass bitmask check and words a failure
+    with ``verify_solution``; the rank and matrix routes stay with the tests.
+    """
     if isinstance(node, ast.Name):
         return node.id in OTHER_ROUTES
     if isinstance(node, ast.Attribute):
