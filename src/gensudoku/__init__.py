@@ -20,6 +20,7 @@ from .condition import (
 from .errors import (
     DimensionError,
     GenSudokuError,
+    InputTypeError,
     InvalidCapError,
     InvalidPartitionError,
     InvalidPermutationError,

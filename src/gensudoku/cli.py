@@ -48,6 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a solution file")
     p_verify.add_argument("file")
     p_verify.add_argument("solution")
+    p_verify.add_argument("--format", choices=["text", "json"], default="text")
 
     p_check = sub.add_parser("check", help="reconstruction-identity report")
     p_check.add_argument("file")
@@ -56,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force enumeration")
     p_oracle.add_argument("file")
+    p_oracle.add_argument("--format", choices=["text", "json"], default="text")
 
     p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
     p_matrix.add_argument("n", type=int)
@@ -111,7 +113,7 @@ def _cmd_solve(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = load_problem(args.file)
     outcome = brute_force(problem)
-    return _print_outcome(outcome, "text")
+    return _print_outcome(outcome, args.format)
 
 
 def _load_solution(args):
@@ -127,11 +129,13 @@ def _load_solution(args):
 def _cmd_verify(args) -> int:
     problem, solution = _load_solution(args)
     result = verify_solution(problem, solution)
-    if result.ok:
+    if args.format == "json":
+        print(json.dumps(asdict(result)))
+    elif result.ok:
         print("OK")
-        return 0
-    print(f"VIOLATION ({result.clause}): {result.detail}")
-    return 1
+    else:
+        print(f"VIOLATION ({result.clause}): {result.detail}")
+    return 0 if result.ok else 1
 
 
 def _cmd_check(args) -> int:

@@ -21,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
-from .errors import DimensionError, NotApplicableError, ParityError
+from .errors import (
+    DimensionError,
+    InputTypeError,
+    NotApplicableError,
+    ParityError,
+    as_tuple,
+    require_int,
+)
 from .matrices import ConstraintMatrix, triangular_sum
 
 if TYPE_CHECKING:
@@ -30,16 +37,25 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Candidate cell values, tableau row-major, length n^2."""
+    """Candidate cell values, tableau row-major, length n^2.
+
+    ``n`` and every cell must be an int, not a ``bool``; anything else
+    raises InputTypeError, so every check compares and shifts ints.
+    """
 
     n: int
     cells: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if len(self.cells) != self.n * self.n:
+        require_int("n", self.n)
+        cells = as_tuple("cells", self.cells)
+        object.__setattr__(self, "cells", cells)
+        if not {int}.issuperset(map(type, cells)):
+            i, value = next((i, v) for i, v in enumerate(cells, 1) if type(v) is not int)
+            raise InputTypeError(f"cell {i} must be an int, got {type(value).__name__}")
+        if len(cells) != self.n * self.n:
             raise DimensionError(
-                f"expected {self.n * self.n} cells, got {len(self.cells)}"
+                f"expected {self.n * self.n} cells, got {len(cells)}"
             )
 
 

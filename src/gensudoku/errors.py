@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that raise one."""
 
 
 class GenSudokuError(Exception):
@@ -51,6 +51,11 @@ class SpecError(GenSudokuError, ValueError):
     """A problem or matrix was asked for with a size or givens out of range."""
 
 
+class InputTypeError(GenSudokuError, TypeError):
+    """An argument is of the wrong type: an int field holding another type
+    (``bool`` included), or a value that is not the sequence asked for."""
+
+
 class PuzzleFormatError(GenSudokuError, ValueError):
     """Malformed or unreadable puzzle or region file.
 
@@ -87,3 +92,27 @@ class SelfCheckError(GenSudokuError):
     def __init__(self, message, grid):
         super().__init__(message)
         self.grid = grid
+
+
+def require_int(what: str, value) -> None:
+    """Raise InputTypeError unless ``value`` is an int (a ``bool`` is not)."""
+    if type(value) is not int:
+        raise InputTypeError(f"{what} must be an int, got {type(value).__name__}")
+
+
+def as_tuple(what: str, items) -> tuple:
+    """``tuple(items)``, or InputTypeError when ``items`` is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise InputTypeError(
+            f"{what} must be iterable, got {type(items).__name__}"
+        ) from None
+
+
+def as_tuples(what: str, rows) -> tuple[tuple, ...]:
+    """``rows`` and each row as tuples, or InputTypeError when one is not iterable."""
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        raise InputTypeError(f"{what} must be an iterable of iterables") from None

@@ -11,7 +11,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionError, InvalidPartitionError, InvalidPermutationError
+from .errors import (
+    DimensionError,
+    InvalidPartitionError,
+    InvalidPermutationError,
+    as_tuple,
+    as_tuples,
+    require_int,
+)
 
 
 @dataclass(frozen=True)
@@ -21,11 +28,11 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", as_tuple("images", self.images))
         size = len(self.images)
         seen = [False] * (size + 1)
         for img in self.images:
-            if not isinstance(img, int) or not 1 <= img <= size or seen[img]:
+            if type(img) is not int or not 1 <= img <= size or seen[img]:
                 raise InvalidPermutationError(
                     f"images {self.images!r} are not a bijection on 1..{size}"
                 )
@@ -65,8 +72,9 @@ class Partition:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+        object.__setattr__(self, "groups", as_tuples("groups", self.groups))
         n = self.n
+        require_int("n", n)
         if len(self.groups) != n:
             raise InvalidPartitionError(
                 f"expected {n} groups, got {len(self.groups)}"
@@ -78,7 +86,7 @@ class Partition:
                     f"group {group!r} has {len(group)} cells, expected {n}"
                 )
             for prev, cell in zip((None,) + group, group):
-                if not isinstance(cell, int) or not 1 <= cell <= n * n:
+                if type(cell) is not int or not 1 <= cell <= n * n:
                     raise InvalidPartitionError(
                         f"cell {cell!r} outside 1..{n * n}", cell=cell
                     )

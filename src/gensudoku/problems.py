@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 # check_givens/check_necessary are not called here; bench/tracing.py looks them up.
 from .condition import (
@@ -23,7 +23,16 @@ from .condition import (
     check_necessary,
     vanishing_rows,
 )
-from .errors import InvalidCapError, SearchSpaceError, SelfCheckError, SpecError
+from .errors import (
+    InputTypeError,
+    InvalidCapError,
+    SearchSpaceError,
+    SelfCheckError,
+    SpecError,
+    as_tuple,
+    as_tuples,
+    require_int,
+)
 from .matrices import ConstraintMatrix, build_constraint_matrix
 from .permutations import (
     Partition,
@@ -39,27 +48,44 @@ BRUTE_FORCE_LIMIT = 10**8
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Grid size, constraint permutations and givens of one puzzle instance."""
+    """Grid size, constraint permutations and givens of one puzzle instance.
+
+    A field of the wrong type (an ``n`` or given that is not an int, a
+    constraint that is not a Permutation) raises InputTypeError; a value
+    out of range, SpecError.
+    """
 
     n: int
     constraints: tuple[Permutation, ...]
     givens: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "givens", tuple(tuple(g) for g in self.givens))
         n = self.n
+        require_int("n", n)
+        constraints = as_tuple("constraints", self.constraints)
+        givens = as_tuples("givens", self.givens)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "givens", givens)
         if n < 2:
             raise SpecError(f"n must be >= 2, got {n}")
-        if not self.constraints:
+        if not constraints:
             raise SpecError("at least one constraint permutation is required")
-        for perm in self.constraints:
+        for perm in constraints:
+            if not isinstance(perm, Permutation):
+                raise InputTypeError(
+                    f"a constraint must be a Permutation, got {type(perm).__name__}"
+                )
             if perm.size != n * n:
                 raise SpecError(
                     f"constraint permutation size {perm.size} != n^2 = {n * n}"
                 )
         seen = set()
-        for cell, value in self.givens:
+        for given in givens:
+            if len(given) != 2:
+                raise SpecError(f"given {given!r} is not a (cell, value) pair")
+            cell, value = given
+            if type(cell) is not int or type(value) is not int:
+                raise InputTypeError(f"given {given!r} does not hold two ints")
             if not 1 <= cell <= n * n:
                 raise SpecError(f"given cell {cell} outside 1..{n * n}")
             if not 1 <= value <= n:
@@ -97,17 +123,25 @@ class ProblemSpec:
         ]
 
     @cached_property
+    def distinct_groups(self) -> tuple[tuple[int, ...], ...]:
+        """``compiled_groups`` with repeats dropped, in constraint order.
+
+        A group two constraints list (Latin's columns) restricts nothing
+        more and is kept once, at its first place.  The certificate reads
+        only this, so checking a grid does not build ``group_index``.
+        """
+        return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
+
+    @cached_property
     def group_index(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``(groups, cell_groups, peers)``: the distinct groups, by cell.
 
-        ``groups`` is ``compiled_groups`` with repeats dropped: a group two
-        constraints list (Latin's columns) restricts nothing more and is
-        kept once, at its first place in constraint order.  Per cell,
-        ``cell_groups`` holds the ids of its groups and ``peers`` the other
-        cells of those groups.  Built on first use and kept for the life of
+        ``groups`` is ``distinct_groups``.  Per cell, ``cell_groups`` holds
+        the ids of its groups and ``peers`` the other cells of those
+        groups.  Built on first use (by ``solve``) and kept for the life of
         the spec.
         """
-        groups = tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
+        groups = self.distinct_groups
         cell_groups: list[list[int]] = [[] for _ in range(self.n * self.n)]
         for gid, group in enumerate(groups):
             for cell in group:
@@ -132,9 +166,19 @@ class VerificationResult:
 
 
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
-    """Check length (else DimensionError), range, nonzero constraints, givens."""
+    """Whether x solves the problem, and if not, its first failed clause.
+
+    Raises DimensionError when x has the wrong length.  The decision is the
+    library's one certificate: every cell in 1..n (tested first, so only
+    such values are shifted), then ``_certifies``.  Only a grid it rejects
+    is walked clause by clause to word the failure: range, then each
+    constraint's groups in constraint order (a group two constraints share,
+    such as a Latin column, is named by the first), then the givens.
+    """
     n = problem.n
     cells = _checked_cells(problem, x)
+    if 1 <= min(cells) and max(cells) <= n and _certifies(problem, cells):
+        return VerificationResult(True, None, "all clauses hold")
     for i, value in enumerate(cells, start=1):
         if not 1 <= value <= n:
             return VerificationResult(
@@ -170,17 +214,17 @@ class SolveOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _certifies(problem: ProblemSpec, values: list[int]) -> bool:
+def _certifies(problem: ProblemSpec, values: Sequence[int]) -> bool:
     """Whether a filled grid solves the defining system, in one bitmask pass.
 
     A group of n cells holds a permutation of 1..n exactly when the OR of
-    ``1 << value`` over its cells is bits 1..n; a value out of range sets a
-    bit outside them.  Such a group has no zero difference and, by
+    ``1 << value`` over its cells is bits 1..n; a value of 0 or above n sets
+    a bit outside them (a negative one cannot be shifted, so callers pass
+    values >= 0).  Such a group has no zero difference and, by
     ``sign_sum_closed_form``, reconstructs to itself.  The givens must stand.
     """
     full = ((1 << problem.n) - 1) << 1
-    groups, _, _ = problem.group_index
-    for group in groups:
+    for group in problem.distinct_groups:
         seen = 0
         for cell in group:
             seen |= 1 << values[cell]
@@ -331,45 +375,48 @@ def solve(
 
 
 def brute_force(problem: ProblemSpec) -> SolveOutcome:
-    """Exhaustive fill-in enumeration filtered by verification only.
+    """Exhaustive fill-in enumeration filtered by the library's certificate.
 
-    Independent oracle: no propagation, no pruning beyond the fixed givens.
-    Refuses when n ** free_cells exceeds BRUTE_FORCE_LIMIT.
+    Independent of ``solve``'s search: no propagation, no pruning beyond the
+    fixed givens.  Every fill of the free cells with values 1..n counts as
+    a node and is tested by ``_certifies``; an Assignment is built only for
+    a fill it accepts.  Refuses when n ** free_cells exceeds
+    BRUTE_FORCE_LIMIT.
     """
     n = problem.n
-    total = n * n
     given_map = dict(problem.givens)
-    free = [i for i in range(1, total + 1) if i not in given_map]
-    if n ** len(free) > BRUTE_FORCE_LIMIT:
+    free = [i for i in range(n * n) if i + 1 not in given_map]
+    space = n ** len(free)
+    if space > BRUTE_FORCE_LIMIT:
         raise SearchSpaceError(
             f"{n}^{len(free)} candidate fill-ins exceed the {BRUTE_FORCE_LIMIT} bound"
         )
-    outcome = SolveOutcome(exhausted=True)
-    base = [given_map.get(i, 0) for i in range(1, total + 1)]
+    outcome = SolveOutcome(nodes_explored=space, exhausted=True)
+    base = [given_map.get(i + 1, 0) for i in range(n * n)]
     for fill in product(range(1, n + 1), repeat=len(free)):
-        outcome.nodes_explored += 1
         for cell, value in zip(free, fill):
-            base[cell - 1] = value
-        candidate = Assignment(n, tuple(base))
-        if verify_solution(problem, candidate).ok:
-            outcome.solutions.append(candidate)
+            base[cell] = value
+        if _certifies(problem, base):
+            outcome.solutions.append(Assignment(n, tuple(base)))
     return outcome
 
 
 def make_latin_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> ProblemSpec:
     """Rows and columns only (the duplicated-column-constraint case)."""
+    require_int("n", n)
     pi2 = transpose_permutation(n)
-    return ProblemSpec(n, (identity_permutation(n), pi2, pi2), tuple(givens))
+    return ProblemSpec(n, (identity_permutation(n), pi2, pi2), givens)
 
 
 def make_classic_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> ProblemSpec:
     """Rows, columns and sqrt(n) x sqrt(n) subsquares; n must be a square."""
+    require_int("n", n)
     if n < 4 or math.isqrt(n) ** 2 != n:
         raise SpecError(f"n must be a perfect square >= 4, got {n}")
     return ProblemSpec(
         n,
         (identity_permutation(n), transpose_permutation(n), block_permutation(n)),
-        tuple(givens),
+        givens,
     )
 
 
@@ -377,6 +424,8 @@ def make_gerechte_spec(
     part: Partition, givens: Iterable[tuple[int, int]] = ()
 ) -> ProblemSpec:
     """Rows, columns and the caller's region partition."""
+    if not isinstance(part, Partition):
+        raise InputTypeError(f"part must be a Partition, got {type(part).__name__}")
     n = part.n
     return ProblemSpec(
         n,
@@ -385,5 +434,5 @@ def make_gerechte_spec(
             transpose_permutation(n),
             partition_permutation(part),
         ),
-        tuple(givens),
+        givens,
     )

@@ -164,6 +164,28 @@ class TestVerifyCommand:
         assert run_cli(["verify", puzzle, bad]) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "solution,code,text,result",
+        [
+            (LATIN3_SOLVED, 0, "OK\n", [True, None, "all clauses hold"]),
+            (
+                "n 3\n2 1 3\n3 2 1\n1 3 3\n",
+                1,
+                "VIOLATION (constraint): constraint 1, row 9: zero difference\n",
+                [False, "constraint", "constraint 1, row 9: zero difference"],
+            ),
+        ],
+    )
+    def test_text_and_json(self, tmp_path, capsys, solution, code, text, result):
+        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        solved = write(tmp_path, "s.txt", solution)
+        for fmt in ([], ["--format", "text"]):
+            assert run_cli(["verify", puzzle, solved, *fmt]) == code
+            assert capsys.readouterr().out == text
+        assert run_cli(["verify", puzzle, solved, "--format", "json"]) == code
+        data = json.loads(capsys.readouterr().out)
+        assert data == dict(zip(("ok", "clause", "detail"), result))
+
 
 class TestOracleCommand:
     def test_latin2(self, tmp_path, capsys):
@@ -171,6 +193,29 @@ class TestOracleCommand:
         assert run_cli(["oracle", puzzle]) == 0
         out = capsys.readouterr().out
         assert "solutions 2 nodes 16 exhausted true" in out
+
+    def test_text_and_json(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
+        text = (
+            "solution 1\n1 2\n2 1\n\nsolution 2\n2 1\n1 2\n\n"
+            "solutions 2 nodes 16 exhausted true\n"
+        )
+        for fmt in ([], ["--format", "text"]):
+            assert run_cli(["oracle", puzzle, *fmt]) == 0
+            assert capsys.readouterr().out == text
+        assert run_cli(["oracle", puzzle, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "solutions": [{"n": 2, "cells": [1, 2, 2, 1]}, {"n": 2, "cells": [2, 1, 1, 2]}],
+            "nodes_explored": 16,
+            "exhausted": True,
+            "diagnostics": [],
+        }
+
+    def test_no_solution_json_exits_1(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n1 0\n")
+        assert run_cli(["oracle", puzzle, "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["solutions"] == [] and data["nodes_explored"] == 4
 
     def test_refusal_is_input_error(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 4\n" + "\n".join(["0 0 0 0"] * 4))

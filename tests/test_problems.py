@@ -1,7 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 
 import pytest
 
@@ -10,8 +10,10 @@ from gensudoku import (
     Assignment,
     DimensionError,
     GenSudokuError,
+    InputTypeError,
     InvalidCapError,
     Partition,
+    Permutation,
     ProblemSpec,
     SearchSpaceError,
     SelfCheckError,
@@ -26,7 +28,9 @@ from gensudoku import (
     solve,
     verify_solution,
 )
-from reference_data import REGION3_GROUPS, X3
+from reference_data import REGION3_GROUPS, X3, reference_verify
+
+REGIONS4 = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
 
 
 def count_latin_squares(n, givens=()):
@@ -121,8 +125,86 @@ class TestVerifySolution:
             )
             assert ok == sets_ok
 
+    @pytest.mark.parametrize(
+        "cells", [(1.0, 2.0, 2.0, 1.0), (True, 2, 2, 1), (1, 2, 2, "1"), (1, 2, 2, None)]
+    )
+    def test_non_int_cells_raise_a_typed_type_error(self, cells):
+        with pytest.raises(InputTypeError, match="must be an int") as info:
+            verify_solution(make_latin_spec(2), Assignment(2, cells))
+        assert isinstance(info.value, GenSudokuError)
+        assert isinstance(info.value, TypeError)
+
+    def test_matches_the_reference_clause_loop(self):
+        # Latin squares of each size (so a region may repeat a value), with
+        # two cells of a random group of a random constraint swapped (so
+        # the groups crossing it may repeat one), a cell set to a value in
+        # 0..n + 1, or left alone (so a given may not stand).  The verdict
+        # and its wording must equal the set-based reference's.
+        rng = random.Random(47)
+        for spec, constraint_ids in (
+            (make_latin_spec(3, givens=((5, 2),)), {1, 2}),
+            (make_classic_spec(4, givens=((1, 1), (16, 1))), {1, 2, 3}),
+            (make_gerechte_spec(Partition(4, REGIONS4), givens=((6, 3),)), {1, 2, 3}),
+        ):
+            n = spec.n
+            latin = ProblemSpec(n, spec.constraints[:2])
+            grids = [s.cells for s in solve(latin).solutions]
+            results = []
+            for _ in range(600):
+                cells = list(rng.choice(grids))
+                kind = rng.randrange(3)
+                if kind == 0:
+                    perm = rng.choice(spec.constraints)
+                    block = rng.randrange(n)
+                    group = perm.images[block * n : (block + 1) * n]
+                    p, m = rng.sample(group, 2)
+                    cells[p - 1], cells[m - 1] = cells[m - 1], cells[p - 1]
+                elif kind == 1:
+                    cells[rng.randrange(n * n)] = rng.randint(0, n + 1)
+                result = verify_solution(spec, Assignment(n, cells))
+                assert (result.ok, result.clause, result.detail) == reference_verify(spec, cells)
+                results.append(result)
+            assert {r.clause for r in results} == {None, "range", "constraint", "given"}
+            named = {int(r.detail.split(",")[0].split()[1]) for r in results if r.clause == "constraint"}
+            assert named == constraint_ids
+
+    def test_latin_repeat_in_a_column_names_constraint_2(self):
+        # Latin's columns are constraints 2 and 3; the first names them.
+        spec = make_latin_spec(3)
+        cells = (2, 1, 3, 2, 1, 3, 1, 3, 2)
+        result = verify_solution(spec, Assignment(3, cells))
+        assert result.detail == "constraint 2, row 1: zero difference"
+        assert (result.ok, result.clause, result.detail) == reference_verify(spec, cells)
+
 
 class TestBruteForce:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_latin_spec(2),
+            make_latin_spec(3),
+            make_latin_spec(3, givens=((1, 1), (2, 2), (3, 3))),
+            make_latin_spec(3, givens=((1, 1), (4, 1))),
+            make_gerechte_spec(Partition(3, REGION3_GROUPS)),
+        ],
+    )
+    def test_equals_a_product_filter_by_the_reference(self, spec):
+        n = spec.n
+        given_map = dict(spec.givens)
+        free = [i for i in range(n * n) if i + 1 not in given_map]
+        expected, nodes = [], 0
+        for fill in product(range(1, n + 1), repeat=len(free)):
+            nodes += 1
+            cells = [given_map.get(i + 1, 0) for i in range(n * n)]
+            for cell, value in zip(free, fill):
+                cells[cell] = value
+            if reference_verify(spec, cells)[0]:
+                expected.append(tuple(cells))
+        outcome = brute_force(spec)
+        assert [s.cells for s in outcome.solutions] == expected
+        assert outcome.nodes_explored == nodes
+        assert outcome.exhausted
+
     def test_latin2(self):
         outcome = brute_force(make_latin_spec(2))
         assert len(outcome.solutions) == 2
@@ -327,6 +409,39 @@ class TestConstructors:
             make_latin_spec(3, givens=((1, 4),))
         with pytest.raises(ValueError):
             make_latin_spec(3, givens=((1, 1), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_latin_spec("3"),
+            lambda: make_latin_spec(2.0),
+            lambda: make_classic_spec(4.0),
+            lambda: make_classic_spec(True),
+            lambda: make_latin_spec(3, givens=((1, "2"),)),
+            lambda: make_latin_spec(3, givens=((True, 2),)),
+            lambda: make_latin_spec(3, givens=((1, 2.0),)),
+            lambda: make_latin_spec(3, givens=None),
+            lambda: make_latin_spec(3, givens=(5,)),
+            lambda: make_gerechte_spec(REGION3_GROUPS),
+            lambda: ProblemSpec(3, None),
+            lambda: ProblemSpec(3, ((1, 2, 3),)),
+            lambda: Partition(2.0, ((1, 2), (3, 4))),
+            lambda: Partition(2, None),
+            lambda: Permutation(None),
+            lambda: Assignment("2", (1, 2, 2, 1)),
+            lambda: Assignment(2, 1221),
+        ],
+    )
+    def test_wrong_types_raise_a_typed_type_error(self, build):
+        with pytest.raises(InputTypeError) as info:
+            build()
+        assert isinstance(info.value, GenSudokuError)
+        assert isinstance(info.value, TypeError)
+
+    def test_given_that_is_not_a_pair_is_a_spec_error(self):
+        for givens in (((1, 2, 3),), ((1,),), ("12345",)):
+            with pytest.raises(SpecError, match="is not a \\(cell, value\\) pair"):
+                make_latin_spec(3, givens=givens)
 
     def test_spec_errors_are_typed(self):
         for build in (

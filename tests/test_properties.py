@@ -1,10 +1,13 @@
-"""Property tests: no text or file makes the parsers or the CLI fail untyped,
-and ``solve`` finds exactly the oracles' solutions on random gerechte problems.
+"""Property tests: no text, file or argument makes the parsers, the CLI or
+the constructors fail untyped, and ``solve`` finds exactly the oracles'
+solutions on random gerechte problems.
 
 Any text given to a parser yields a document or a typed format error, and
 each line and column it reports points at the text it names.  ``run_cli``
 on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
-returns an exit code of 0, 1 or 2 and raises nothing.
+returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor,
+or ``solve``'s cap, given a str, float, bool, None or nested tuple in place
+of an argument or of one of its items returns or raises a GenSudokuError.
 Example counts are bounded so that the whole module runs in a few seconds.
 """
 
@@ -18,18 +21,25 @@ from pathlib import Path
 from hypothesis import example, given, settings, strategies as st
 
 from gensudoku import (
+    Assignment,
+    GenSudokuError,
     InvalidPartitionError,
+    Permutation,
+    ProblemSpec,
     PuzzleDocument,
     PuzzleFormatError,
     Partition,
     brute_force,
+    make_classic_spec,
     make_gerechte_spec,
+    make_latin_spec,
     parse_dot_string,
     parse_puzzle,
     parse_regions,
     solve,
 )
 from gensudoku.cli import run_cli
+from reference_data import REGION3_GROUPS, X3
 from test_acceptance import count_grids_by_row_product
 
 # Characters that build headers, grids and region lines, plus digits that
@@ -231,3 +241,44 @@ def test_random_gerechte_solutions_match_the_oracles():
 
     check()
     assert kinds == {"solved", "none", "conflict"}
+
+
+# Small ints only: a drawn order builds a spec of that size.
+LEAVES = st.one_of(
+    st.integers(-2, 10), st.text(max_size=3), st.floats(), st.booleans(), st.none()
+)
+OBJECTS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8)
+LATIN3 = make_latin_spec(3)
+# Each public constructor, and solve's cap, with valid arguments.
+CALLS = {
+    "make_latin_spec": (make_latin_spec, (3, ((1, 2), (5, 3)))),
+    "make_classic_spec": (make_classic_spec, (4, ((1, 2), (6, 3)))),
+    "make_gerechte_spec": (make_gerechte_spec, (Partition(3, REGION3_GROUPS), ((1, 2),))),
+    "ProblemSpec": (ProblemSpec, (3, LATIN3.constraints, ((1, 2),))),
+    "Assignment": (Assignment, (3, X3)),
+    "Partition": (Partition, (3, REGION3_GROUPS)),
+    "Permutation": (Permutation, ((2, 1, 3, 4),)),
+    "solve": (solve, (LATIN3, 5)),
+}
+
+
+def put(data, value, obj):
+    """``value`` with ``obj`` in its place, or in place of one of its items."""
+    if type(value) is tuple and value and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(value) - 1))
+        return value[:i] + (put(data, value[i], obj),) + value[i + 1 :]
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(CALLS)), st.data())
+def test_constructors_return_or_raise_a_typed_error(name, data):
+    build, args = CALLS[name]
+    # solve's spec is not drawn: only its cap is an argument under test.
+    i = len(args) - 1 if name == "solve" else data.draw(st.integers(0, len(args) - 1))
+    args = list(args)
+    args[i] = put(data, args[i], data.draw(OBJECTS))
+    try:
+        build(*args)
+    except GenSudokuError:
+        pass
