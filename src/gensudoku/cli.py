@@ -44,25 +44,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--cap", type=int, default=None, metavar="K")
     p_solve.add_argument("--format", choices=["text", "json"], default="text")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="verify a solution file")
     p_verify.add_argument("file")
     p_verify.add_argument("solution")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_check = sub.add_parser("check", help="reconstruction-identity report")
     p_check.add_argument("file")
     p_check.add_argument("solution")
     p_check.add_argument("--format", choices=["text", "json"], default="text")
+    p_check.set_defaults(run=_cmd_check)
 
     p_oracle = sub.add_parser("oracle", help="brute-force enumeration")
     p_oracle.add_argument("file")
     p_oracle.add_argument("--format", choices=["text", "json"], default="text")
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
     p_matrix.add_argument("n", type=int)
     p_matrix.add_argument("--pi", type=int, choices=[1, 2, 3], default=None)
     p_matrix.add_argument("--regions", default=None, metavar="PATH")
+    p_matrix.set_defaults(run=_cmd_matrix)
     return parser
 
 
@@ -180,15 +185,8 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    handlers = {
-        "solve": _cmd_solve,
-        "verify": _cmd_verify,
-        "check": _cmd_check,
-        "oracle": _cmd_oracle,
-        "matrix": _cmd_matrix,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (GenSudokuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .errors import (
     NotApplicableError,
     ParityError,
     as_tuple,
+    require_instance,
     require_int,
 )
 from .matrices import ConstraintMatrix, triangular_sum
@@ -60,7 +61,13 @@ class Assignment:
 
 
 def gsgn(y: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise sign; defined only when no component is zero."""
+    """Componentwise sign; defined only when no component is zero.
+
+    A component that is not an int raises InputTypeError.
+    """
+    y = as_tuple("y", y)
+    if not {int}.issuperset(map(type, y)):
+        raise InputTypeError("every component of y must be an int")
     out = []
     for idx, val in enumerate(y, start=1):
         if val == 0:
@@ -134,7 +141,12 @@ def vanishing_rows(values: Sequence[int], block: int) -> Iterator[int]:
 
 
 def _checked_cells(problem: "ProblemSpec", x: Assignment) -> tuple[int, ...]:
-    """The cells of x, after the length check the constraint matrices make."""
+    """The cells of x, after the type checks and the length check the
+    constraint matrices make."""
+    from .problems import ProblemSpec  # problems imports this module
+
+    require_instance("problem", problem, ProblemSpec)
+    require_instance("x", x, Assignment)
     size = problem.n * problem.n
     if len(x.cells) != size:
         raise DimensionError(f"expected length {size}, got {len(x.cells)}")
@@ -161,13 +173,14 @@ def check_necessary(problem: "ProblemSpec", x: Assignment) -> list[NecessityRepo
     """Run the reconstruction identity against every constraint.
 
     Violations are reported, never raised; one report per constraint in the
-    problem's order.  Each group is ranked, not multiplied out: for distinct
-    values the sign sum of a cell is 2s - (n-1), s the number of smaller
-    values in its group, so the reconstructed value is s + 1.  A group that
-    is a permutation of 1..n therefore reconstructs to itself
-    (``sign_sum_closed_form``).  When a group holds a duplicate the
-    constraint's reconstruction is undefined and its report lists the
-    vanishing rows of every such group.
+    problem's order.  A problem that is not a ProblemSpec, or an x that is
+    not an Assignment, raises InputTypeError.  Each group is ranked, not
+    multiplied out: for distinct values the sign sum of a cell is
+    2s - (n-1), s the number of smaller values in its group, so the
+    reconstructed value is s + 1.  A group that is a permutation of 1..n
+    therefore reconstructs to itself (``sign_sum_closed_form``).  When a
+    group holds a duplicate the constraint's reconstruction is undefined
+    and its report lists the vanishing rows of every such group.
     """
     cells = _checked_cells(problem, x)
     n = problem.n

@@ -100,6 +100,14 @@ def require_int(what: str, value) -> None:
         raise InputTypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
+def require_instance(what: str, value, cls: type) -> None:
+    """Raise InputTypeError unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InputTypeError(
+            f"{what} must be a {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def as_tuple(what: str, items) -> tuple:
     """``tuple(items)``, or InputTypeError when ``items`` is not iterable."""
     try:

@@ -13,12 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionError, InvalidPermutationError, SpecError
+from .errors import (
+    DimensionError,
+    InvalidPermutationError,
+    SpecError,
+    require_instance,
+    require_int,
+)
 from .permutations import Permutation
 
 
 def triangular_sum(n: int) -> int:
     """Number of unordered pairs from n items: n(n-1)/2 (0 for n=1)."""
+    require_int("n", n)
     if n < 1:
         raise SpecError(f"n must be >= 1, got {n}")
     return n * (n - 1) // 2
@@ -72,6 +79,7 @@ def build_difference_matrix(n: int) -> ConstraintMatrix:
     Inductive construction: rows (1,2)..(1,n), then the n-1 case shifted,
     which coincides with lexicographic order on (p, m).
     """
+    require_int("n", n)
     if n < 1:
         raise SpecError(f"n must be >= 1, got {n}")
     rows = tuple((p, m) for p in range(1, n) for m in range(p + 1, n + 1))
@@ -84,6 +92,8 @@ def build_constraint_matrix(n: int, perm: Permutation) -> ConstraintMatrix:
     Block b (1-based) row (p, m) reads +1 at column perm((b-1)n+p) and -1
     at column perm((b-1)n+m).
     """
+    require_int("n", n)
+    require_instance("perm", perm, Permutation)
     if n < 2:
         raise SpecError(f"n must be >= 2, got {n}")
     if perm.size != n * n:

@@ -17,6 +17,7 @@ from .errors import (
     InvalidPermutationError,
     as_tuple,
     as_tuples,
+    require_instance,
     require_int,
 )
 
@@ -107,6 +108,7 @@ class Partition:
 
 def identity_permutation(n: int) -> Permutation:
     """The identity on the n^2 cell indices."""
+    require_int("n", n)
     if n < 1:
         raise InvalidPermutationError(f"n must be >= 1, got {n}")
     return Permutation(tuple(range(1, n * n + 1)))
@@ -114,6 +116,7 @@ def identity_permutation(n: int) -> Permutation:
 
 def transpose_permutation(n: int) -> Permutation:
     """Maps tableau rows onto tableau columns: (r-1)n+c -> (c-1)n+r."""
+    require_int("n", n)
     if n < 1:
         raise InvalidPermutationError(f"n must be >= 1, got {n}")
     images = [0] * (n * n)
@@ -129,6 +132,7 @@ def block_permutation(n: int) -> Permutation:
     Subsquares are numbered row-wise from the left; within a subsquare cells
     fill left-to-right, top-to-bottom.
     """
+    require_int("n", n)
     if n < 4 or math.isqrt(n) ** 2 != n:
         raise InvalidPermutationError(f"n must be a perfect square >= 4, got {n}")
     m = math.isqrt(n)
@@ -149,5 +153,6 @@ def partition_permutation(part: Partition) -> Permutation:
     Feeding the result to ``build_constraint_matrix`` makes constraint block i
     tie together exactly group i's cells.
     """
+    require_instance("part", part, Partition)
     images = [cell for group in part.groups for cell in group]
     return Permutation(tuple(images))

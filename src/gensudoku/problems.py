@@ -31,6 +31,7 @@ from .errors import (
     SpecError,
     as_tuple,
     as_tuples,
+    require_instance,
     require_int,
 )
 from .matrices import ConstraintMatrix, build_constraint_matrix
@@ -71,10 +72,7 @@ class ProblemSpec:
         if not constraints:
             raise SpecError("at least one constraint permutation is required")
         for perm in constraints:
-            if not isinstance(perm, Permutation):
-                raise InputTypeError(
-                    f"a constraint must be a Permutation, got {type(perm).__name__}"
-                )
+            require_instance("a constraint", perm, Permutation)
             if perm.size != n * n:
                 raise SpecError(
                     f"constraint permutation size {perm.size} != n^2 = {n * n}"
@@ -127,30 +125,11 @@ class ProblemSpec:
         """``compiled_groups`` with repeats dropped, in constraint order.
 
         A group two constraints list (Latin's columns) restricts nothing
-        more and is kept once, at its first place.  The certificate reads
-        only this, so checking a grid does not build ``group_index``.
+        more and is kept once, at its first place.  The certificate and
+        ``solve`` read only this; ``solve`` indexes each cell's groups in its
+        own set-up sweep.
         """
         return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
-
-    @cached_property
-    def group_index(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``(groups, cell_groups, peers)``: the distinct groups, by cell.
-
-        ``groups`` is ``distinct_groups``.  Per cell, ``cell_groups`` holds
-        the ids of its groups and ``peers`` the other cells of those
-        groups.  Built on first use (by ``solve``) and kept for the life of
-        the spec.
-        """
-        groups = self.distinct_groups
-        cell_groups: list[list[int]] = [[] for _ in range(self.n * self.n)]
-        for gid, group in enumerate(groups):
-            for cell in group:
-                cell_groups[cell].append(gid)
-        peers = tuple(
-            tuple(set().union(*(groups[gid] for gid in gids)) - {cell})
-            for cell, gids in enumerate(cell_groups)
-        )
-        return groups, tuple(map(tuple, cell_groups)), peers
 
 
 @dataclass(frozen=True)
@@ -168,15 +147,16 @@ class VerificationResult:
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
     """Whether x solves the problem, and if not, its first failed clause.
 
-    Raises DimensionError when x has the wrong length.  The decision is the
-    library's one certificate: every cell in 1..n (tested first, so only
-    such values are shifted), then ``_certifies``.  Only a grid it rejects
-    is walked clause by clause to word the failure: range, then each
-    constraint's groups in constraint order (a group two constraints share,
-    such as a Latin column, is named by the first), then the givens.
+    Raises InputTypeError when problem is not a ProblemSpec or x not an
+    Assignment, DimensionError when x has the wrong length.  The decision
+    is the library's one certificate: every cell in 1..n (tested first, so
+    only such values are shifted), then ``_certifies``.  Only a grid it
+    rejects is walked clause by clause to word the failure: range, then
+    each constraint's groups in constraint order (a group two constraints
+    share, such as a Latin column, is named by the first), then the givens.
     """
-    n = problem.n
     cells = _checked_cells(problem, x)
+    n = problem.n
     if 1 <= min(cells) and max(cells) <= n and _certifies(problem, cells):
         return VerificationResult(True, None, "all clauses hold")
     for i, value in enumerate(cells, start=1):
@@ -241,22 +221,25 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  It reads the spec's ``group_index``
-    and keeps each free cell's candidate mask current: placing v clears bit
-    v from the free peers that hold it and pushes them on a trail, and
-    undoing the value restores exactly the peers pushed since its frame's
-    trail mark.  Each node scans the free cells most-constrained-first
-    (MRV), ties broken by lowest index, and stops at a count of 0 or 1.
-    Otherwise one pass over the distinct groups, in order, looks for a value
-    missing from a group: if no free cell there can take it the node is a
-    dead end; if one cell can (a hidden single), that cell gets that value.
+    the interpreter's recursion limit.  It reads the spec's
+    ``distinct_groups``, indexes each cell's groups in its set-up sweep, and
+    keeps each free cell's candidate mask current: placing v clears bit v,
+    through each of the cell's groups, from the free cells there that hold
+    it and pushes them on a trail, and undoing the value restores exactly
+    the cells pushed since its frame's trail mark.  Each node scans the
+    free cells most-constrained-first (MRV), ties broken by lowest index,
+    and stops at a count of 0 or 1.  Otherwise one pass over the distinct
+    groups, in order, looks for a value missing from a group: if no free
+    cell there can take it the node is a dead end; if one cell can (a
+    hidden single), that cell gets that value.
     Failing both, the MRV cell is branched on, values ascending.  Every
     emitted solution is certified by one OR of ``1 << value`` per distinct
     group, plus the givens (``_certifies``); ``verify_solution`` only words
     the SelfCheckError when that fails.  ``selfcheck`` is accepted and
     ignored.  A ``cap`` that is not an int, or is below 1, raises
-    InvalidCapError.
+    InvalidCapError; a ``problem`` that is not a ProblemSpec, InputTypeError.
     """
+    require_instance("problem", problem, ProblemSpec)
     if cap is not None:
         if type(cap) is not int:
             raise InvalidCapError(f"cap must be an int, got {type(cap).__name__}")
@@ -266,15 +249,17 @@ def solve(
     n = problem.n
     total = n * n
     full = ((1 << n) - 1) << 1  # bits 1..n
-    groups, cell_groups, peers = problem.group_index
+    groups = problem.distinct_groups
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # Mark the givens' values per group, and stop at the first group, in
-    # constraint order, holding a value twice.
+    # Index each cell's groups, mark the givens' values per group, and stop
+    # at the first group, in constraint order, holding a value twice.
+    cell_groups: list[list[int]] = [[] for _ in range(total)]
     used = [0] * len(groups)  # bitmask of values present per group
     for gid, group in enumerate(groups):
         for cell in group:
+            cell_groups[cell].append(gid)
             value = values[cell]
             if not value:
                 continue
@@ -295,7 +280,7 @@ def solve(
         for gid in cell_groups[i]:
             mask &= ~used[gid]
         cand[i] = mask
-    trail: list[int] = []  # peers whose candidate bit a placement cleared
+    trail: list[int] = []  # cells whose candidate bit a placement cleared
     # (cell, values still to try there, its mask before placing, trail mark)
     stack: list[tuple[int, int, int, int]] = []
     while True:
@@ -361,10 +346,10 @@ def solve(
                 cand[cell] = 0
                 for gid in cell_groups[cell]:
                     used[gid] |= bit
-                for peer in peers[cell]:
-                    if cand[peer] & bit:
-                        cand[peer] ^= bit
-                        trail.append(peer)
+                    for peer in groups[gid]:
+                        if cand[peer] & bit:
+                            cand[peer] ^= bit
+                            trail.append(peer)
                 stack.append((cell, mask ^ bit, saved, mark))
                 break
             values[cell] = 0
@@ -383,6 +368,7 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
     a fill it accepts.  Refuses when n ** free_cells exceeds
     BRUTE_FORCE_LIMIT.
     """
+    require_instance("problem", problem, ProblemSpec)
     n = problem.n
     given_map = dict(problem.givens)
     free = [i for i in range(n * n) if i + 1 not in given_map]
@@ -403,7 +389,6 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
 
 def make_latin_spec(n: int, givens: Iterable[tuple[int, int]] = ()) -> ProblemSpec:
     """Rows and columns only (the duplicated-column-constraint case)."""
-    require_int("n", n)
     pi2 = transpose_permutation(n)
     return ProblemSpec(n, (identity_permutation(n), pi2, pi2), givens)
 
@@ -424,8 +409,7 @@ def make_gerechte_spec(
     part: Partition, givens: Iterable[tuple[int, int]] = ()
 ) -> ProblemSpec:
     """Rows, columns and the caller's region partition."""
-    if not isinstance(part, Partition):
-        raise InputTypeError(f"part must be a Partition, got {type(part).__name__}")
+    require_instance("part", part, Partition)
     n = part.n
     return ProblemSpec(
         n,

@@ -7,7 +7,8 @@ vector of its product with X9, and the resulting column sums.  The
 (2,1,3,3,2,1,1,3,2).
 
 ``reference_verify`` is a second route to ``verify_solution``'s verdict and
-wording that shares no code with the library.
+wording that shares no code with the library, and ``exact_cover_solutions``
+a second route to ``solve``'s solution set.
 """
 
 A9_DENSE = (
@@ -106,3 +107,64 @@ def reference_verify(spec, cells):
         if cells[cell - 1] != value:
             return False, "given", f"cell {cell} holds {cells[cell - 1]}, given is {value}"
     return True, None, "all clauses hold"
+
+
+def exact_cover_solutions(n, groups, givens=()):
+    """Every grid whose given cells hold their values and whose groups each
+    hold 1..n, found as exact covers by Algorithm X in dict-of-sets form
+    (Knuth, "Dancing Links", arXiv:cs/0011047).
+
+    ``groups`` are lists of 1-based cells.  Columns are ``("cell", c)`` and
+    ``("group", g, v)``; row ``(c, v)`` covers cell c and value v of each
+    group holding c.  Returns the grids as tuples, in the order found.
+    """
+    covers = {
+        (c, v): [("cell", c)] + [("group", g, v) for g, group in enumerate(groups) if c in group]
+        for c in range(1, n * n + 1)
+        for v in range(1, n + 1)
+    }
+    rows_of = {}
+    for row, columns in covers.items():
+        for column in columns:
+            rows_of.setdefault(column, set()).add(row)
+
+    def select(row):
+        removed = []
+        for column in covers[row]:
+            for other in rows_of[column]:
+                for elsewhere in covers[other]:
+                    if elsewhere != column:
+                        rows_of[elsewhere].discard(other)
+            removed.append(rows_of.pop(column))
+        return removed
+
+    def deselect(row, removed):
+        for column in reversed(covers[row]):
+            rows_of[column] = removed.pop()
+            for other in rows_of[column]:
+                for elsewhere in covers[other]:
+                    if elsewhere != column:
+                        rows_of[elsewhere].add(other)
+
+    grid = [0] * (n * n)
+    for cell, value in givens:
+        if any(column not in rows_of for column in covers[(cell, value)]):
+            return []
+        select((cell, value))
+        grid[cell - 1] = value
+    found = []
+
+    def search():
+        if not rows_of:
+            found.append(tuple(grid))
+            return
+        column = min(rows_of, key=lambda col: len(rows_of[col]))
+        for cell, value in sorted(rows_of[column]):
+            removed = select((cell, value))
+            grid[cell - 1] = value
+            search()
+            grid[cell - 1] = 0
+            deselect((cell, value), removed)
+
+    search()
+    return found

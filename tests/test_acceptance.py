@@ -26,6 +26,7 @@ from gensudoku import (
     gsgn,
     identity_permutation,
     make_classic_spec,
+    make_gerechte_spec,
     make_latin_spec,
     pairwise_sign_sum,
     parse_dot_string,
@@ -62,6 +63,31 @@ SUDOKU_9X9_FIXTURES = [
     "1....7.9." ".3..2...8" "..96..5.." "..53..9.." ".1..8...2"
     "6....4..." "3......1." ".4......7" "..7...3..",
 ]
+
+# Fitted gerechte 9x9 puzzles, 66 cells blank: rows of region labels 1-9
+# and the givens.  Each value's nine cells in a shuffled cyclic Latin square
+# were dealt one to each region, so the square fits the scattered regions.
+GERECHTE_9X9_FIXTURES = [
+    (
+        ("197682939", "877454157", "426335185", "671416887", "642349394",
+         "543299673", "837231958", "182456512", "226758691"),
+        "9.8647..." ".......8." ".87..2..." "....14..." "........."
+        "..2.6...." "........." "...8....." ".......7.",
+    ),
+    (
+        ("989342141", "797961772", "582556679", "481998463", "367954271",
+         "482376659", "437351453", "151428253", "628368281"),
+        "7........" "........." ".....5.7." "....1.78." "1..9....."
+        "...7.2..." ".8......." ".9......4" "...5...2.",
+    ),
+]
+
+
+def gerechte_9x9_spec(labels, dots):
+    """The gerechte spec whose region r holds the cells labelled r."""
+    cells = "".join(labels)
+    groups = [tuple(c for c, label in enumerate(cells, 1) if label == r) for r in "123456789"]
+    return make_gerechte_spec(Partition(9, groups), parse_dot_string(dots).givens())
 
 
 def announce(number, elapsed=None):
@@ -352,10 +378,25 @@ def test_search_nodes_and_order_are_pinned():
             (1, 2, 3, 4, 3, 4, 1, 2, 2, 1, 4, 3, 4, 3, 2, 1),
             (4, 3, 2, 1, 2, 1, 4, 3, 3, 4, 1, 2, 1, 2, 3, 4),
         ),
+        (
+            gerechte_9x9_spec(*GERECHTE_9X9_FIXTURES[0]),
+            1586,
+            2,
+            tuple(map(int, "928647315564139782687492531396514827835721694472968153751283469213875946149356278")),
+            tuple(map(int, "928647513364159782687492351596314827853721694472968135731285469215873946149536278")),
+        ),
+        (
+            gerechte_9x9_spec(*GERECHTE_9X9_FIXTURES[1]),
+            3193,
+            4,
+            tuple(map(int, "745321968621834597819245673356419782173968245934782156582673419297156834468597321")),
+            tuple(map(int, "745621938321864597819245376653419782176938245964782153582376419297153864438597621")),
+        ),
     )
     for spec, node_count, count, first, last in pinned:
         outcome = solve(spec)
         assert solve(spec, selfcheck=False) == outcome
+        assert outcome.nodes_explored == node_count and outcome.exhausted
         assert len(outcome.solutions) == count
         assert outcome.solutions[0].cells == first
         assert outcome.solutions[-1].cells == last

@@ -1,19 +1,21 @@
 """Property tests: no text, file or argument makes the parsers, the CLI or
-the constructors fail untyped, and ``solve`` finds exactly the oracles'
-solutions on random gerechte problems.
+the library's entry points fail untyped, and ``solve`` finds exactly the
+oracles' solutions on random gerechte problems, up to fitted 9x9 ones.
 
 Any text given to a parser yields a document or a typed format error, and
 each line and column it reports points at the text it names.  ``run_cli``
 on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
-returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor,
-or ``solve``'s cap, given a str, float, bool, None or nested tuple in place
-of an argument or of one of its items returns or raises a GenSudokuError.
+returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
+or free function (``solve``, ``gsgn``, the permutation and matrix builders
+and the checkers) given a str, float, bool, None or nested tuple in place of
+an argument or of one of its items returns or raises a GenSudokuError.
 Example counts are bounded so that the whole module runs in a few seconds.
 """
 
 import ast
 import contextlib
 import io
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -29,17 +31,27 @@ from gensudoku import (
     PuzzleDocument,
     PuzzleFormatError,
     Partition,
+    block_permutation,
     brute_force,
+    build_constraint_matrix,
+    build_difference_matrix,
+    check_necessary,
+    gsgn,
+    identity_permutation,
     make_classic_spec,
     make_gerechte_spec,
     make_latin_spec,
     parse_dot_string,
     parse_puzzle,
     parse_regions,
+    partition_permutation,
     solve,
+    transpose_permutation,
+    triangular_sum,
+    verify_solution,
 )
 from gensudoku.cli import run_cli
-from reference_data import REGION3_GROUPS, X3
+from reference_data import REGION3_GROUPS, X3, exact_cover_solutions
 from test_acceptance import count_grids_by_row_product
 
 # Characters that build headers, grids and region lines, plus digits that
@@ -234,6 +246,7 @@ def test_random_gerechte_solutions_match_the_oracles():
         value = dict(givens)
         groups = regions + [list(range(r * n + 1, r * n + n + 1)) for r in range(n)]
         groups += [list(range(c + 1, n * n + 1, n)) for c in range(n)]
+        assert found == set(exact_cover_solutions(n, groups, givens))
         held = [[value[c] for c in group if c in value] for group in groups]
         repeats = any(len(h) != len(set(h)) for h in held)
         assert bool(outcome.diagnostics) == repeats
@@ -243,13 +256,84 @@ def test_random_gerechte_solutions_match_the_oracles():
     assert kinds == {"solved", "none", "conflict"}
 
 
+def band_order(rng):
+    """0..8 shuffled so that each band of three stays together."""
+    return [3 * b + i for b in rng.sample(range(3), 3) for i in rng.sample(range(3), 3)]
+
+
+@st.composite
+def fitted_gerechte_9x9(draw):
+    """A 9x9 gerechte partition, givens, and a Latin square that fits both.
+
+    A quarter of the draws take the classic boxes and a Sudoku grid: the
+    pattern grid with its bands, stacks, the rows and columns within them
+    and its values shuffled.  The rest deal each value's nine cells of a
+    shuffled cyclic Latin square one to each region, so the square fits the
+    scattered regions.  Every cell holding one of up to two drawn values is
+    blank, which leaves swapping those two values as a second solution;
+    more cells are blanked up to 60 in all, 45 for the boxes, whose pattern
+    grid leaves many more solutions at the same count.  The shuffles come
+    from a drawn seed: shrunk towards the identity they would make the
+    regions the rows and blank the top rows, whose fills run to thousands.
+    """
+    boxes = draw(st.integers(0, 3)) == 0
+    cleared = draw(st.sets(st.integers(1, 9), max_size=2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if boxes:
+        values, rows, cols = rng.sample(range(9), 9), band_order(rng), band_order(rng)
+        square = [
+            values[(3 * (rows[i // 9] % 3) + rows[i // 9] // 3 + cols[i % 9]) % 9] + 1
+            for i in range(81)
+        ]
+        regions = [
+            [27 * (b // 3) + 9 * r + 3 * (b % 3) + c + 1 for r in range(3) for c in range(3)]
+            for b in range(9)
+        ]
+    else:
+        values, rows, cols = (rng.sample(range(9), 9) for _ in range(3))
+        square = [values[(rows[i // 9] + cols[i % 9]) % 9] + 1 for i in range(81)]
+        by_value = [
+            rng.sample([i + 1 for i in range(81) if square[i] == v], 9) for v in range(1, 10)
+        ]
+        regions = [sorted(cells[r] for cells in by_value) for r in range(9)]
+    blanks = {i for i in range(81) if square[i] in cleared}
+    others = [i for i in range(81) if i not in blanks]
+    count = draw(st.integers(0, (45 if boxes else 60) - len(blanks)))
+    blanks.update(rng.sample(others, count))
+    givens = [(i + 1, square[i]) for i in range(81) if i not in blanks]
+    return boxes, regions, givens, tuple(square)
+
+
+def test_fitted_gerechte_9x9_solutions_match_the_exact_cover_oracle():
+    reached = []  # (boxes, number of solutions) per example
+    rows = [list(range(r * 9 + 1, r * 9 + 10)) for r in range(9)]
+    cols = [list(range(c + 1, 82, 9)) for c in range(9)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(fitted_gerechte_9x9())
+    def check(problem):
+        boxes, regions, givens, square = problem
+        outcome = solve(make_gerechte_spec(Partition(9, regions), givens))
+        found = [s.cells for s in outcome.solutions]
+        expected = exact_cover_solutions(9, rows + cols + regions, givens)
+        assert outcome.exhausted and not outcome.diagnostics
+        assert len(set(found)) == len(found) and set(found) == set(expected)
+        assert square in found
+        reached.append((boxes, len(found)))
+
+    check()
+    assert {boxes for boxes, _ in reached} == {True, False}
+    assert sum(count >= 2 for _, count in reached) >= 5
+
+
 # Small ints only: a drawn order builds a spec of that size.
 LEAVES = st.one_of(
     st.integers(-2, 10), st.text(max_size=3), st.floats(), st.booleans(), st.none()
 )
 OBJECTS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8)
 LATIN3 = make_latin_spec(3)
-# Each public constructor, and solve's cap, with valid arguments.
+# Each public constructor, and each free function that takes an int, a
+# sequence of ints or a library object, with valid arguments.
 CALLS = {
     "make_latin_spec": (make_latin_spec, (3, ((1, 2), (5, 3)))),
     "make_classic_spec": (make_classic_spec, (4, ((1, 2), (6, 3)))),
@@ -259,6 +343,17 @@ CALLS = {
     "Partition": (Partition, (3, REGION3_GROUPS)),
     "Permutation": (Permutation, ((2, 1, 3, 4),)),
     "solve": (solve, (LATIN3, 5)),
+    "brute_force": (brute_force, (LATIN3,)),
+    "verify_solution": (verify_solution, (LATIN3, Assignment(3, X3))),
+    "check_necessary": (check_necessary, (LATIN3, Assignment(3, X3))),
+    "identity_permutation": (identity_permutation, (3,)),
+    "transpose_permutation": (transpose_permutation, (3,)),
+    "block_permutation": (block_permutation, (4,)),
+    "partition_permutation": (partition_permutation, (Partition(3, REGION3_GROUPS),)),
+    "triangular_sum": (triangular_sum, (3,)),
+    "build_difference_matrix": (build_difference_matrix, (3,)),
+    "build_constraint_matrix": (build_constraint_matrix, (3, LATIN3.constraints[1])),
+    "gsgn": (gsgn, ((3, -1, 7),)),
 }
 
 
@@ -270,12 +365,11 @@ def put(data, value, obj):
     return obj
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.sampled_from(sorted(CALLS)), st.data())
 def test_constructors_return_or_raise_a_typed_error(name, data):
     build, args = CALLS[name]
-    # solve's spec is not drawn: only its cap is an argument under test.
-    i = len(args) - 1 if name == "solve" else data.draw(st.integers(0, len(args) - 1))
+    i = data.draw(st.integers(0, len(args) - 1))
     args = list(args)
     args[i] = put(data, args[i], data.draw(OBJECTS))
     try:
