@@ -26,6 +26,7 @@ from .errors import (
     InputTypeError,
     NotApplicableError,
     ParityError,
+    as_ints,
     as_tuple,
     require_instance,
     require_int,
@@ -65,9 +66,7 @@ def gsgn(y: Sequence[int]) -> tuple[int, ...]:
 
     A component that is not an int raises InputTypeError.
     """
-    y = as_tuple("y", y)
-    if not {int}.issuperset(map(type, y)):
-        raise InputTypeError("every component of y must be an int")
+    y = as_ints("y", y)
     out = []
     for idx, val in enumerate(y, start=1):
         if val == 0:
@@ -84,8 +83,11 @@ def pairwise_sign_sum(x: Sequence[int], i: int) -> int:
     """Double-sum route to component i of A^T sgn(A x), matrix-free.
 
     Computed directly as -sum_{j<i} sgn(x_j - x_i) + sum_{j>i} sgn(x_i - x_j);
-    serves as the independent oracle for the matrix route.
+    serves as the independent oracle for the matrix route.  A component of
+    x, or an i, that is not an int raises InputTypeError.
     """
+    x = as_ints("x", x)
+    require_int("i", i)
     n = len(x)
     if not 1 <= i <= n:
         raise DimensionError(f"index {i} outside 1..{n}")
@@ -101,6 +103,8 @@ def pairwise_sign_sum(x: Sequence[int], i: int) -> int:
 
 def sign_sum_closed_form(value: int, n: int) -> int:
     """Closed form of the pairwise sign sum when x is a permutation of 1..n."""
+    require_int("value", value)
+    require_int("n", n)
     return 2 * value - (n + 1)
 
 
@@ -108,9 +112,12 @@ def reconstruct(matrix: ConstraintMatrix, x: Sequence[int]) -> tuple[int, ...]:
     """Recover cell values from the signs of their constraint differences.
 
     Returns (A^T sgn(A x) + (n+1) * 1) / 2 in exact integers.  Equals x
-    whenever every group of the matrix holds distinct values in 1..n.
+    whenever every group of the matrix holds distinct values in 1..n.  A
+    matrix that is not a ConstraintMatrix, or a component of x that is not
+    an int, raises InputTypeError.
     """
-    signs = gsgn(matrix.apply(x))
+    require_instance("matrix", matrix, ConstraintMatrix)
+    signs = gsgn(matrix.apply(as_ints("x", x)))
     sums = matrix.apply_transpose(signs)
     return _halve(tuple(s + matrix.n + 1 for s in sums))
 

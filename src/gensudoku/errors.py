@@ -118,6 +118,14 @@ def as_tuple(what: str, items) -> tuple:
         ) from None
 
 
+def as_ints(what: str, items) -> tuple[int, ...]:
+    """``tuple(items)``, or InputTypeError unless it is an iterable of ints."""
+    items = as_tuple(what, items)
+    if not {int}.issuperset(map(type, items)):
+        raise InputTypeError(f"every component of {what} must be an int")
+    return items
+
+
 def as_tuples(what: str, rows) -> tuple[tuple, ...]:
     """``rows`` and each row as tuples, or InputTypeError when one is not iterable."""
     try:

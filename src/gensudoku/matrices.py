@@ -5,7 +5,11 @@ The base matrix for alphabet size n has one row per unordered pair
 of it with columns permuted.  Both are one sparse type that stores each
 row as its (plus, minus) column pair only; every row has exactly two
 nonzeros, so dense export exists for tests and dumps, never for
-computation.  All arithmetic is exact integer arithmetic.
+computation.  Each row is an edge between two columns, so a matrix is the
+incidence matrix of a graph (A(n) that of the complete graph K_n) and its
+rank is the number of rows that join columns not yet connected: the
+column count minus the connected components.  All arithmetic is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from .errors import (
     DimensionError,
     InvalidPermutationError,
     SpecError,
+    as_ints,
+    as_tuples,
     require_instance,
     require_int,
 )
@@ -36,12 +42,28 @@ class ConstraintMatrix:
     """Sparse matrix over alphabet size n whose every row reads x_plus - x_minus.
 
     ``rows`` holds each row's 1-based (plus, minus) column pair, in row
-    order.  Never materialized densely except on demand.
+    order: two distinct ints in 1..column_count.  A row that is not a pair,
+    or whose columns coincide or fall outside that range, raises SpecError;
+    a column that is not an int raises InputTypeError.  Never materialized
+    densely except on demand.
     """
 
     n: int
     column_count: int
     rows: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        require_int("n", self.n)
+        require_int("column_count", self.column_count)
+        rows, count = as_tuples("rows", self.rows), self.column_count
+        object.__setattr__(self, "rows", rows)
+        for i, row in enumerate(rows, start=1):
+            if len(row) != 2:
+                raise SpecError(f"row {i} must be a (plus, minus) pair, got {row!r}")
+            plus, minus = as_ints(f"row {i}", row)
+            if plus == minus or not (1 <= plus <= count and 1 <= minus <= count):
+                message = f"row {i} must join two distinct columns in 1..{count}"
+                raise SpecError(f"{message}, got {row!r}")
 
     @property
     def row_count(self) -> int:
@@ -110,26 +132,22 @@ def build_constraint_matrix(n: int, perm: Permutation) -> ConstraintMatrix:
 
 
 def rank_of_difference_matrix(matrix: ConstraintMatrix) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss) elimination."""
-    m = matrix.to_dense()
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
+    """Exact rank over the rationals: the number of rows that join two
+    columns not yet connected (the column count minus the components),
+    counted in one union-find pass with path halving."""
+    require_instance("matrix", matrix, ConstraintMatrix)
+    parent = list(range(matrix.column_count + 1))
+
+    def root(column: int) -> int:
+        while parent[column] != column:
+            parent[column] = parent[parent[column]]
+            column = parent[column]
+        return column
+
     rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (i for i in range(rank, n_rows) if m[i][col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            for j in range(col, n_cols):
-                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev_pivot
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
+    for plus, minus in matrix.rows:
+        a, b = root(plus), root(minus)
+        if a != b:
+            parent[a] = b
+            rank += 1
     return rank

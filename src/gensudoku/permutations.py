@@ -101,9 +101,6 @@ class Partition:
                         cell=cell,
                     )
                 seen[cell] = True
-        missing = next((c for c in range(1, n * n + 1) if not seen[c]), None)
-        if missing is not None:
-            raise InvalidPartitionError(f"cell {missing} is uncovered", cell=missing)
 
 
 def identity_permutation(n: int) -> Permutation:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .condition import Assignment
-from .errors import PuzzleFormatError
+from .errors import PuzzleFormatError, require_instance
 from .permutations import Partition
 from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_latin_spec
 
@@ -128,29 +128,36 @@ def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument
 
 
 def parse_regions(text: str, source_name: str = "<string>") -> Partition:
-    """Label grid -> partition; groups ordered by first appearance."""
+    """Label grid -> partition; groups ordered by first appearance.
+
+    A label past the n-th, or a label's cell past its n-th, raises
+    PuzzleFormatError at that cell's line and column.  With neither, the n
+    labels hold n cells each, so they partition the n^2 cells.
+    """
     fail = partial(PuzzleFormatError, source_name=source_name)
     rows = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not rows:
         raise fail("empty region file", 1)
     n = len(rows)
-    order: list[str] = []
     cells: dict[str, list[int]] = {}
     for r, (lineno, line) in enumerate(rows):
         tokens = line.split()
         if len(tokens) != n:
             raise fail(f"expected {n} labels, got {len(tokens)}", lineno)
         for c, label in enumerate(tokens, start=1):
-            if label not in cells:
-                order.append(label)
-                cells[label] = []
-            cells[label].append(r * n + c)
-    groups = tuple(tuple(cells[label]) for label in order)
-    return Partition(n, groups)
+            if label not in cells and len(cells) == n:
+                message = f"label {label!r} starts region {n + 1}, expected {n} regions"
+                raise fail(message, lineno, c)
+            group = cells.setdefault(label, [])
+            if len(group) == n:
+                raise fail(f"label {label!r} holds more than {n} cells", lineno, c)
+            group.append(r * n + c)
+    return Partition(n, tuple(map(tuple, cells.values())))
 
 
 def render_tableau(x: Assignment) -> str:
     """Row-major n x n text layout, one space-separated line per row."""
+    require_instance("x", x, Assignment)
     n = x.n
     return "\n".join(
         " ".join(str(x.cells[r * n + c]) for c in range(n)) for r in range(n)

@@ -7,8 +7,9 @@ vector of its product with X9, and the resulting column sums.  The
 (2,1,3,3,2,1,1,3,2).
 
 ``reference_verify`` is a second route to ``verify_solution``'s verdict and
-wording that shares no code with the library, and ``exact_cover_solutions``
-a second route to ``solve``'s solution set.
+wording that shares no code with the library, ``exact_cover_solutions``
+a second route to ``solve``'s solution set, and ``reference_rank`` a
+second route to ``rank_of_difference_matrix``.
 """
 
 A9_DENSE = (
@@ -168,3 +169,33 @@ def exact_cover_solutions(n, groups, givens=()):
 
     search()
     return found
+
+
+def reference_rank(dense):
+    """Exact rank over the rationals via fraction-free (Bareiss) elimination.
+
+    ``dense`` is a list of integer rows, as ``ConstraintMatrix.to_dense``
+    gives; it is eliminated in place.
+    """
+    m = dense
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next(
+            (i for i in range(rank, n_rows) if m[i][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for i in range(rank + 1, n_rows):
+            factor = m[i][col]
+            for j in range(col, n_cols):
+                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev_pivot
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank

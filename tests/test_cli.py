@@ -302,6 +302,32 @@ class TestErrors:
             assert err == f"error: {regions}: line {line}: expected 3 labels, got 2\n"
 
     @pytest.mark.parametrize(
+        "n, text, message",
+        [
+            (
+                4,
+                "a a b b\na a b b\nc c d d\nc c c d\n",
+                "line 4, column 3: label 'c' holds more than 4 cells",
+            ),
+            (
+                5,
+                "a b c d e\nf a b c d\ne a b c d\ne a b c d\ne a b c d\n",
+                "line 2, column 1: label 'f' starts region 6, expected 5 regions",
+            ),
+        ],
+        ids=["five-cell-region", "six-labels"],
+    )
+    def test_region_file_that_is_no_partition_names_its_place(
+        self, tmp_path, capsys, n, text, message
+    ):
+        rows = ("0 " * (n - 1) + "0\n") * n
+        puzzle = write(tmp_path, "p.txt", f"n {n}\nregions part.txt\n{rows}")
+        regions = write(tmp_path, "part.txt", text)
+        for argv in (["solve", puzzle], ["matrix", str(n), "--pi", "3", "--regions", regions]):
+            assert run_cli(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {regions}: {message}\n")
+
+    @pytest.mark.parametrize(
         "puzzle_text, solved_text, where",
         [
             (LATIN2_PUZZLE, "n 2\n1 2\n0 1\n", "line 3, column 1"),

@@ -4,6 +4,7 @@ import pytest
 
 from gensudoku import (
     Assignment,
+    InputTypeError,
     NotApplicableError,
     ParityError,
     Partition,
@@ -18,7 +19,9 @@ from gensudoku import (
     partition_permutation,
     Permutation,
     ProblemSpec,
+    rank_of_difference_matrix,
     reconstruct,
+    render_tableau,
     sign_sum_closed_form,
     transpose_permutation,
 )
@@ -220,3 +223,21 @@ class TestParityGuard:
     def test_parity_error_carries_position(self):
         err = ParityError(4, 7)
         assert err.index == 4 and err.value == 7
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (pairwise_sign_sum, (["a", "b"], 1)),
+        (pairwise_sign_sum, ((1, 2), "1")),
+        (sign_sum_closed_form, ("a", 3)),
+        (sign_sum_closed_form, (2, None)),
+        (reconstruct, (None, (1, 2))),
+        (reconstruct, (build_difference_matrix(2), (1, 2.5))),
+        (rank_of_difference_matrix, (None,)),
+        (render_tableau, (None,)),
+    ],
+)
+def test_free_functions_reject_wrong_types(call, args):
+    with pytest.raises(InputTypeError):
+        call(*args)

@@ -133,10 +133,24 @@ class TestParseRegions:
         )
 
     def test_unbalanced_groups_rejected(self):
-        from gensudoku import InvalidPartitionError
+        # 'a' takes its third cell at line 2, column 2.
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_regions("a a\nb a\n", source_name="r.txt")
+        assert (info.value.line, info.value.column) == (2, 2)
+        assert str(info.value) == "r.txt: line 2, column 2: label 'a' holds more than 2 cells"
 
-        with pytest.raises(InvalidPartitionError):
-            parse_regions("a a\nb a\n")
+    def test_label_past_the_nth_rejected_at_its_cell(self):
+        text = "\na b c\n\nd a b\nc a b\n"  # blank lines are counted
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_regions(text)
+        assert (info.value.line, info.value.column) == (4, 1)
+        assert "label 'd' starts region 4, expected 3 regions" in str(info.value)
+
+    def test_five_cell_region_named_at_its_fifth_cell(self):
+        text = "a a b b\na a b b\nc c d d\nc c c d\n"
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_regions(text)
+        assert (info.value.line, info.value.column) == (4, 3)
 
 
 class TestRenderTableau:

@@ -2,16 +2,24 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gensudoku import (
+    ConstraintMatrix,
     DimensionError,
+    InputTypeError,
+    Partition,
+    SpecError,
     build_constraint_matrix,
     build_difference_matrix,
     identity_permutation,
+    make_classic_spec,
+    make_gerechte_spec,
+    make_latin_spec,
     rank_of_difference_matrix,
     triangular_sum,
 )
-from reference_data import A9_DENSE, X9, X9_COLUMN_SUMS, X9_SIGNS
+from reference_data import A9_DENSE, X9, X9_COLUMN_SUMS, X9_SIGNS, reference_rank
 
 
 def sign(v):
@@ -157,6 +165,50 @@ class TestConstraintMatrix:
             assert matrix.apply_transpose(lam) == expect_t
 
 
+class TestConstraintMatrixRows:
+    def test_rows_are_kept_as_tuples(self):
+        matrix = ConstraintMatrix(2, 2, [[1, 2]])
+        assert matrix.rows == ((1, 2),)
+        assert ConstraintMatrix(3, 0, ()).rows == ()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 1),),  # column 0 would wrap round to the last column
+            ((1, 1),),  # coincident columns
+            ((1, 3),),  # past the last column
+            ((1,),),  # not a pair
+            ((1, 2, 1),),
+            ((1, 2), ()),
+        ],
+    )
+    def test_bad_rows_raise_spec_error(self, rows):
+        with pytest.raises(SpecError):
+            ConstraintMatrix(2, 2, rows)
+
+    @pytest.mark.parametrize(
+        "n, column_count, rows",
+        [
+            (2, 2, ((1, True),)),
+            (2, 2, ((1, 2.0),)),
+            (2, 2, (("1", 2),)),
+            (2, 2, ((1, 2), 5)),
+            (2, 2, None),
+            ("2", 2, ((1, 2),)),
+            (2, True, ((1, 2),)),
+        ],
+    )
+    def test_bad_types_raise_input_type_error(self, n, column_count, rows):
+        with pytest.raises(InputTypeError):
+            ConstraintMatrix(n, column_count, rows)
+
+
+def diagonal_gerechte_9x9():
+    """Regions are the broken diagonals: region r holds (i, (i + r) mod 9)."""
+    regions = [sorted(9 * i + (i + r) % 9 + 1 for i in range(9)) for r in range(9)]
+    return make_gerechte_spec(Partition(9, regions))
+
+
 class TestRank:
     def test_small_cases(self):
         assert rank_of_difference_matrix(build_difference_matrix(1)) == 0
@@ -164,5 +216,47 @@ class TestRank:
         assert rank_of_difference_matrix(build_difference_matrix(9)) == 8
 
     def test_rank_is_n_minus_one(self):
-        for n in range(2, 13):
-            assert rank_of_difference_matrix(build_difference_matrix(n)) == n - 1
+        for n in range(1, 13):
+            matrix = build_difference_matrix(n)
+            assert rank_of_difference_matrix(matrix) == n - 1
+            assert reference_rank(matrix.to_dense()) == n - 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_classic_spec(4),
+            make_classic_spec(9),
+            make_classic_spec(16),
+            make_latin_spec(5),
+            diagonal_gerechte_9x9(),
+        ],
+        ids=["classic-4", "classic-9", "classic-16", "latin-5", "gerechte-9"],
+    )
+    def test_every_constraint_matrix_has_rank_n_squared_minus_n(self, spec):
+        n = spec.n
+        for perm in spec.constraints:
+            matrix = build_constraint_matrix(n, perm)
+            assert rank_of_difference_matrix(matrix) == n * n - n
+            if n <= 5:
+                assert reference_rank(matrix.to_dense()) == n * n - n
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(InputTypeError):
+            rank_of_difference_matrix(None)
+
+
+@st.composite
+def valid_matrices(draw):
+    """Any rows joining two distinct columns of up to 9, repeats allowed."""
+    columns = draw(st.integers(0, 9))
+    if columns < 2:
+        return ConstraintMatrix(1, columns, ())
+    pair = st.lists(st.integers(1, columns), min_size=2, max_size=2, unique=True)
+    rows = draw(st.lists(pair.map(tuple), max_size=16))
+    return ConstraintMatrix(columns, columns, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_matrices())
+def test_rank_equals_the_elimination_on_random_matrices(matrix):
+    assert rank_of_difference_matrix(matrix) == reference_rank(matrix.to_dense())

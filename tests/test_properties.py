@@ -6,9 +6,10 @@ Any text given to a parser yields a document or a typed format error, and
 each line and column it reports points at the text it names.  ``run_cli``
 on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
 returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
-or free function (``solve``, ``gsgn``, the permutation and matrix builders
-and the checkers) given a str, float, bool, None or nested tuple in place of
-an argument or of one of its items returns or raises a GenSudokuError.
+or free function (``solve``, ``gsgn``, the sign sums, ``reconstruct``, the
+permutation and matrix builders, the rank, the checkers and
+``render_tableau``) given a str, float, bool, None or nested tuple in place
+of an argument or of one of its items returns or raises a GenSudokuError.
 Example counts are bounded so that the whole module runs in a few seconds.
 """
 
@@ -24,8 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gensudoku import (
     Assignment,
+    ConstraintMatrix,
     GenSudokuError,
-    InvalidPartitionError,
     Permutation,
     ProblemSpec,
     PuzzleDocument,
@@ -41,10 +42,15 @@ from gensudoku import (
     make_classic_spec,
     make_gerechte_spec,
     make_latin_spec,
+    pairwise_sign_sum,
     parse_dot_string,
     parse_puzzle,
     parse_regions,
     partition_permutation,
+    rank_of_difference_matrix,
+    reconstruct,
+    render_tableau,
+    sign_sum_closed_form,
     solve,
     transpose_permutation,
     triangular_sum,
@@ -82,6 +88,9 @@ def check_error_position(lines, exc):
     quoted = re.fullmatch(r"character (.+) is not a digit or '\.'", message)
     if quoted:
         assert line[exc.column - 1] == ast.literal_eval(quoted[1])
+    label = re.fullmatch(r"label (\S+) (starts region|holds more than) \d+.*", message)
+    if label:
+        assert line.split()[exc.column - 1] == ast.literal_eval(label[1])
 
 
 def check_first_blank(lines, doc, grid_form):
@@ -113,10 +122,6 @@ def test_parsers_return_a_document_or_a_format_error(text):
             result = parse(text)
         except PuzzleFormatError as exc:
             check_error_position(lines, exc)
-            continue
-        except InvalidPartitionError:
-            # A label grid of the right shape can still not partition the cells.
-            assert parse is parse_regions
             continue
         if parse is parse_regions:
             assert isinstance(result, Partition)
@@ -354,6 +359,12 @@ CALLS = {
     "build_difference_matrix": (build_difference_matrix, (3,)),
     "build_constraint_matrix": (build_constraint_matrix, (3, LATIN3.constraints[1])),
     "gsgn": (gsgn, ((3, -1, 7),)),
+    "pairwise_sign_sum": (pairwise_sign_sum, ((2, 8, 1), 2)),
+    "sign_sum_closed_form": (sign_sum_closed_form, (2, 3)),
+    "reconstruct": (reconstruct, (build_difference_matrix(3), (2, 1, 3))),
+    "rank_of_difference_matrix": (rank_of_difference_matrix, (build_difference_matrix(3),)),
+    "render_tableau": (render_tableau, (Assignment(3, X3),)),
+    "ConstraintMatrix": (ConstraintMatrix, (2, 3, ((1, 2), (3, 1)))),
 }
 
 
