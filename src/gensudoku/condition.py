@@ -117,7 +117,7 @@ def reconstruct(matrix: ConstraintMatrix, x: Sequence[int]) -> tuple[int, ...]:
     an int, raises InputTypeError.
     """
     require_instance("matrix", matrix, ConstraintMatrix)
-    signs = gsgn(matrix.apply(as_ints("x", x)))
+    signs = gsgn(matrix.apply(x))
     sums = matrix.apply_transpose(signs)
     return _halve(tuple(s + matrix.n + 1 for s in sums))
 

@@ -79,13 +79,19 @@ class ConstraintMatrix:
         return dense
 
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product: one difference x_plus - x_minus per row."""
+        """Matrix-vector product: one difference x_plus - x_minus per row.
+
+        An x that is not a sequence of ints raises InputTypeError, one of
+        the wrong length DimensionError; so does y in ``apply_transpose``.
+        """
+        x = as_ints("x", x)
         if len(x) != self.column_count:
             raise DimensionError(f"expected length {self.column_count}, got {len(x)}")
         return tuple(x[plus - 1] - x[minus - 1] for plus, minus in self.rows)
 
     def apply_transpose(self, y: Sequence[int]) -> tuple[int, ...]:
         """Transpose product: column plus gains +y_r, column minus gains -y_r."""
+        y = as_ints("y", y)
         if len(y) != self.row_count:
             raise DimensionError(f"expected length {self.row_count}, got {len(y)}")
         out = [0] * self.column_count

@@ -15,6 +15,7 @@ from .errors import (
     DimensionError,
     InvalidPartitionError,
     InvalidPermutationError,
+    as_ints,
     as_tuple,
     as_tuples,
     require_instance,
@@ -50,7 +51,12 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def apply_to_vector(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Relocate components: result[pi(j)] = x[j] for every position j."""
+        """Relocate components: result[pi(j)] = x[j] for every position j.
+
+        An x that is not a sequence of ints raises InputTypeError, one of
+        the wrong length DimensionError.
+        """
+        x = as_ints("x", x)
         if len(x) != self.size:
             raise DimensionError(
                 f"vector length {len(x)} does not match permutation size {self.size}"

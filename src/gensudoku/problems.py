@@ -226,13 +226,20 @@ def solve(
     keeps each free cell's candidate mask current: placing v clears bit v,
     through each of the cell's groups, from the free cells there that hold
     it and pushes them on a trail, and undoing the value restores exactly
-    the cells pushed since its frame's trail mark.  Each node scans the
-    free cells most-constrained-first (MRV), ties broken by lowest index,
-    and stops at a count of 0 or 1.  Otherwise one pass over the distinct
-    groups, in order, looks for a value missing from a group: if no free
-    cell there can take it the node is a dead end; if one cell can (a
-    hidden single), that cell gets that value.
-    Failing both, the MRV cell is branched on, values ascending.  Every
+    the cells pushed since its frame's trail mark.  Each node takes the
+    most-constrained free cell (MRV), ties broken by lowest index.  If one
+    has at most one candidate, that is the lowest cell of ``low``, a bit
+    mask of such cells kept current as peers are trailed; otherwise a scan
+    finds it.  Failing that, one pass over the distinct groups, in order,
+    looks for a value missing from a group: if no free cell there can take
+    it the node is a dead end; if one cell can (a hidden single), that cell
+    gets that value.  The pass skips the groups of ``quiet``, a bit mask of
+    groups it counted and found neither in, none of whose cells' masks a
+    placement has changed since.  Failing both, the MRV cell is branched
+    on, values ascending.  Undoing touches neither mask: a frame resumes
+    with a value left only at a branch node, where no free cell had fewer
+    than two candidates and every group was quiet, so a resume resets
+    ``low`` to 0 and ``quiet`` to every group.  Every
     emitted solution is certified by one OR of ``1 << value`` per distinct
     group, plus the givens (``_certifies``); ``verify_solution`` only words
     the SelfCheckError when that fails.  ``selfcheck`` is accepted and
@@ -253,13 +260,16 @@ def solve(
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # Index each cell's groups, mark the givens' values per group, and stop
-    # at the first group, in constraint order, holding a value twice.
+    # Index each cell's groups (as ids and as one bit per group), mark the
+    # givens' values per group, and stop at the first group, in constraint
+    # order, holding a value twice.
     cell_groups: list[list[int]] = [[] for _ in range(total)]
+    group_bits = [0] * total
     used = [0] * len(groups)  # bitmask of values present per group
     for gid, group in enumerate(groups):
         for cell in group:
             cell_groups[cell].append(gid)
+            group_bits[cell] |= 1 << gid
             value = values[cell]
             if not value:
                 continue
@@ -275,25 +285,35 @@ def solve(
 
     unassigned = [i for i in range(total) if values[i] == 0]
     cand = [0] * total  # candidate mask per free cell, 0 for a filled one
+    low = 0  # bit i: free cell i has at most one candidate
     for i in unassigned:
         mask = full
         for gid in cell_groups[i]:
             mask &= ~used[gid]
         cand[i] = mask
+        if not mask & (mask - 1):
+            low |= 1 << i
+    every_group = (1 << len(groups)) - 1
+    # bit g: group g was counted with no hidden single or dead place found,
+    # and no mask of its cells has changed since
+    quiet = 0
     trail: list[int] = []  # cells whose candidate bit a placement cleared
     # (cell, values still to try there, its mask before placing, trail mark)
     stack: list[tuple[int, int, int, int]] = []
     while True:
-        # Most-constrained free cell, lowest index on ties; stop at a count <= 1.
-        best, best_count = None, n + 1
-        for i in unassigned:
-            if values[i]:
-                continue
-            count = cand[i].bit_count()
-            if count < best_count:
-                best, best_count = i, count
-                if count <= 1:
-                    break
+        # Most-constrained free cell, lowest index on ties: the lowest cell
+        # with at most one candidate, else the first minimum of a full scan.
+        if low:
+            best = (low & -low).bit_length() - 1
+            best_count = cand[best].bit_count()
+        else:
+            best, best_count = None, n + 1
+            for i in unassigned:
+                if values[i]:
+                    continue
+                count = cand[i].bit_count()
+                if count < best_count:
+                    best, best_count = i, count
         if best is None:
             sol = Assignment(n, tuple(values))
             if not _certifies(problem, values):
@@ -311,10 +331,14 @@ def solve(
                 # a group goes in exactly one of its free cells: a value no
                 # cell there can take is a dead end, and one that a single
                 # cell can take (a hidden single) is placed there outright.
-                for gid, group in enumerate(groups):
+                # Quiet groups have neither and are skipped.
+                stale = every_group & ~quiet
+                while stale:
+                    gbit = stale & -stale
+                    stale ^= gbit
+                    gid = gbit.bit_length() - 1
+                    group = groups[gid]
                     missing = full & ~used[gid]
-                    if not missing:
-                        continue
                     ones = twos = 0  # values one / two or more cells can take
                     for cell in group:
                         m = cand[cell]
@@ -328,6 +352,7 @@ def solve(
                         best_mask = single & -single
                         best = next(c for c in group if cand[c] & best_mask)
                         break
+                    quiet |= gbit
             stack.append((best, best_mask, cand[best], len(trail)))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
@@ -339,17 +364,32 @@ def solve(
                 for peer in trail[mark:]:
                     cand[peer] |= bit
                 del trail[mark:]
+                # Only a branch node has a value left to try, and there every
+                # free cell had two or more candidates and every group was
+                # quiet; a frame with none left pops on to one that does.
+                low, quiet = 0, every_group
             if mask:
                 bit = mask & -mask
                 outcome.nodes_explored += 1
                 values[cell] = bit.bit_length() - 1
                 cand[cell] = 0
+                low &= ~(1 << cell)
+                touched = 0  # groups holding a cell whose mask changes
                 for gid in cell_groups[cell]:
                     used[gid] |= bit
                     for peer in groups[gid]:
-                        if cand[peer] & bit:
-                            cand[peer] ^= bit
+                        m = cand[peer]
+                        if m & bit:
+                            m ^= bit
+                            cand[peer] = m
                             trail.append(peer)
+                            touched |= group_bits[peer]
+                            if not m & (m - 1):
+                                low |= 1 << peer
+                # The cell's own groups need no mark of their own: in a quiet
+                # group the value had two or more places, so a trailed peer
+                # marked it.
+                quiet &= ~touched
                 stack.append((cell, mask ^ bit, saved, mark))
                 break
             values[cell] = 0

@@ -8,7 +8,8 @@ vector of its product with X9, and the resulting column sums.  The
 
 ``reference_verify`` is a second route to ``verify_solution``'s verdict and
 wording that shares no code with the library, ``exact_cover_solutions``
-a second route to ``solve``'s solution set, and ``reference_rank`` a
+a second route to ``solve``'s solution set, ``reference_search`` a second
+route to its node count and solution order, and ``reference_rank`` a
 second route to ``rank_of_difference_matrix``.
 """
 
@@ -169,6 +170,118 @@ def exact_cover_solutions(n, groups, givens=()):
 
     search()
     return found
+
+
+def reference_search(spec, cap=None):
+    """``(solutions, nodes, exhausted)`` of ``solve``'s search, recounting as
+    it did before it kept a ``low`` cell mask and a ``quiet`` group mask.
+
+    Its loop is that search's, unchanged: the MRV scan over every free cell
+    at every node, stopping at a count of 0 or 1, and the hidden-single /
+    dead-place pass over every distinct group with a missing value.  It
+    builds the distinct groups from the spec's permutations itself and
+    returns the grids as tuples, uncertified; givens that repeat a value in
+    a group give no solutions, no nodes and ``exhausted``.
+    """
+    n = spec.n
+    total = n * n
+    full = ((1 << n) - 1) << 1  # bits 1..n
+    groups = tuple(
+        dict.fromkeys(
+            tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
+            for perm in spec.constraints
+            for b in range(n)
+        )
+    )
+    values = [0] * total
+    for cell, value in spec.givens:
+        values[cell - 1] = value
+    cell_groups = [[] for _ in range(total)]
+    used = [0] * len(groups)  # bitmask of values present per group
+    for gid, group in enumerate(groups):
+        for cell in group:
+            cell_groups[cell].append(gid)
+            value = values[cell]
+            if not value:
+                continue
+            if used[gid] >> value & 1:
+                return [], 0, True
+            used[gid] |= 1 << value
+
+    solutions, nodes = [], 0
+    unassigned = [i for i in range(total) if values[i] == 0]
+    cand = [0] * total  # candidate mask per free cell, 0 for a filled one
+    for i in unassigned:
+        mask = full
+        for gid in cell_groups[i]:
+            mask &= ~used[gid]
+        cand[i] = mask
+    trail = []  # cells whose candidate bit a placement cleared
+    # (cell, values still to try there, its mask before placing, trail mark)
+    stack = []
+    while True:
+        # Most-constrained free cell, lowest index on ties; stop at a count <= 1.
+        best, best_count = None, n + 1
+        for i in unassigned:
+            if values[i]:
+                continue
+            count = cand[i].bit_count()
+            if count < best_count:
+                best, best_count = i, count
+                if count <= 1:
+                    break
+        if best is None:
+            solutions.append(tuple(values))
+            if cap is not None and len(solutions) >= cap:
+                return solutions, nodes, False
+        else:
+            best_mask = cand[best]
+            if best_count >= 2:
+                for gid, group in enumerate(groups):
+                    missing = full & ~used[gid]
+                    if not missing:
+                        continue
+                    ones = twos = 0  # values one / two or more cells can take
+                    for cell in group:
+                        m = cand[cell]
+                        twos |= ones & m
+                        ones |= m
+                    if missing & ~ones:
+                        best_mask = 0
+                        break
+                    single = missing & ~twos
+                    if single:
+                        best_mask = single & -single
+                        best = next(c for c in group if cand[c] & best_mask)
+                        break
+            stack.append((best, best_mask, cand[best], len(trail)))
+        # Backtrack to the deepest cell with a value left and place its lowest.
+        while stack:
+            cell, mask, saved, mark = stack.pop()
+            if values[cell]:
+                bit = 1 << values[cell]
+                for gid in cell_groups[cell]:
+                    used[gid] &= ~bit
+                for peer in trail[mark:]:
+                    cand[peer] |= bit
+                del trail[mark:]
+            if mask:
+                bit = mask & -mask
+                nodes += 1
+                values[cell] = bit.bit_length() - 1
+                cand[cell] = 0
+                for gid in cell_groups[cell]:
+                    used[gid] |= bit
+                    for peer in groups[gid]:
+                        if cand[peer] & bit:
+                            cand[peer] ^= bit
+                            trail.append(peer)
+                stack.append((cell, mask ^ bit, saved, mark))
+                break
+            values[cell] = 0
+            cand[cell] = saved
+        else:
+            return solutions, nodes, True
 
 
 def reference_rank(dense):

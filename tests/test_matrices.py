@@ -102,6 +102,11 @@ class TestApply:
         with pytest.raises(DimensionError):
             build_difference_matrix(3).apply([1, 2])
 
+    @pytest.mark.parametrize("x", [None, ("a", "b"), (True, 2), (1.0, 2)])
+    def test_rejects_a_vector_that_is_not_ints(self, x):
+        with pytest.raises(InputTypeError):
+            build_difference_matrix(2).apply(x)
+
     def test_distinctness_boundary(self):
         rng = random.Random(7)
         for n in range(2, 9):
@@ -123,6 +128,11 @@ class TestApplyTranspose:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             build_difference_matrix(3).apply_transpose([1, 1])
+
+    @pytest.mark.parametrize("y", [None, ("a",), (False,), 3])
+    def test_rejects_a_vector_that_is_not_ints(self, y):
+        with pytest.raises(InputTypeError):
+            build_difference_matrix(2).apply_transpose(y)
 
 
 class TestConstraintMatrix:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from gensudoku import (
+    DimensionError,
+    InputTypeError,
     InvalidPartitionError,
     InvalidPermutationError,
     Partition,
@@ -36,6 +38,15 @@ class TestPermutation:
     def test_apply_relocates(self):
         p = Permutation((2, 3, 1))
         assert p.apply_to_vector((10, 20, 30)) == (30, 10, 20)
+
+    @pytest.mark.parametrize("x", [3, None, ("a", 2, 3), (True, 2, 3)])
+    def test_apply_rejects_a_vector_that_is_not_ints(self, x):
+        with pytest.raises(InputTypeError):
+            Permutation((2, 3, 1)).apply_to_vector(x)
+
+    def test_apply_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(DimensionError):
+            Permutation((2, 3, 1)).apply_to_vector((1, 2))
 
     def test_inverse_images(self):
         assert Permutation((2, 3, 1)).inverse().images == (3, 1, 2)

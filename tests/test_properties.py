@@ -1,6 +1,7 @@
 """Property tests: no text, file or argument makes the parsers, the CLI or
-the library's entry points fail untyped, and ``solve`` finds exactly the
-oracles' solutions on random gerechte problems, up to fitted 9x9 ones.
+the library's entry points fail untyped, ``solve`` finds exactly the
+oracles' solutions on random gerechte problems, up to fitted 9x9 ones, and
+its nodes and solution order are those of the reference search.
 
 Any text given to a parser yields a document or a typed format error, and
 each line and column it reports points at the text it names.  ``run_cli``
@@ -8,8 +9,10 @@ on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
 returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
 or free function (``solve``, ``gsgn``, the sign sums, ``reconstruct``, the
 permutation and matrix builders, the rank, the checkers and
-``render_tableau``) given a str, float, bool, None or nested tuple in place
-of an argument or of one of its items returns or raises a GenSudokuError.
+``render_tableau``) or vector method (``apply``, ``apply_transpose``,
+``apply_to_vector``) given a str, float, bool, None or nested tuple in
+place of an argument or of one of its items returns or raises a
+GenSudokuError.
 Example counts are bounded so that the whole module runs in a few seconds.
 """
 
@@ -57,7 +60,7 @@ from gensudoku import (
     verify_solution,
 )
 from gensudoku.cli import run_cli
-from reference_data import REGION3_GROUPS, X3, exact_cover_solutions
+from reference_data import REGION3_GROUPS, X3, exact_cover_solutions, reference_search
 from test_acceptance import count_grids_by_row_product
 
 # Characters that build headers, grids and region lines, plus digits that
@@ -261,9 +264,9 @@ def test_random_gerechte_solutions_match_the_oracles():
     assert kinds == {"solved", "none", "conflict"}
 
 
-def band_order(rng):
-    """0..8 shuffled so that each band of three stays together."""
-    return [3 * b + i for b in rng.sample(range(3), 3) for i in rng.sample(range(3), 3)]
+def band_order(rng, m=3):
+    """0..m*m-1 shuffled so that each band of m stays together."""
+    return [m * b + i for b in rng.sample(range(m), m) for i in rng.sample(range(m), m)]
 
 
 @st.composite
@@ -331,14 +334,65 @@ def test_fitted_gerechte_9x9_solutions_match_the_exact_cover_oracle():
     assert sum(count >= 2 for _, count in reached) >= 5
 
 
+@st.composite
+def search_problem(draw):
+    """A classic 4x4 or 9x9, Latin 4x4 to 7x7 or fitted gerechte 9x9 problem,
+    and a cap.
+
+    The givens are read from a grid that solves the problem (a shuffled
+    pattern Sudoku grid, a shuffled cyclic Latin square, or the fitted
+    square), at any number of drawn cells; in a quarter of the draws one of
+    them is changed to any value, which may leave no solution or repeat a
+    value in a group.  4x4 problems are enumerated in full, larger ones
+    stop at a cap of 1 to 3 solutions.
+    """
+    kind = draw(st.sampled_from(("classic", "latin", "gerechte")))
+    if kind == "gerechte":
+        _, regions, givens, _ = draw(fitted_gerechte_9x9())
+        n, make = 9, lambda _, g: make_gerechte_spec(Partition(9, regions), g)
+    else:
+        if kind == "classic":
+            m = draw(st.sampled_from((2, 3)))
+            n, make = m * m, make_classic_spec
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            values, rows, cols = rng.sample(range(n), n), band_order(rng, m), band_order(rng, m)
+            square = [
+                values[(m * (rows[i // n] % m) + rows[i // n] // m + cols[i % n]) % n] + 1
+                for i in range(n * n)
+            ]
+        else:
+            n, make = draw(st.integers(4, 7)), make_latin_spec
+            square = draw(latin_squares(n))
+        cells = draw(st.permutations(range(1, n * n + 1)))
+        givens = [(c, square[c - 1]) for c in cells[: draw(st.integers(0, n * n))]]
+    if givens and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(givens) - 1))
+        givens[i] = (givens[i][0], draw(st.integers(1, n)))
+    return make(n, givens), None if n == 4 else draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_problem())
+def test_search_nodes_and_order_match_the_reference_search(problem):
+    # The low and quiet masks only skip work: every node, in order, and
+    # every solution, in order, stay those of the search that recounts.
+    spec, cap = problem
+    outcome = solve(spec, cap=cap)
+    solutions, nodes, exhausted = reference_search(spec, cap)
+    assert [s.cells for s in outcome.solutions] == solutions
+    assert outcome.nodes_explored == nodes
+    assert outcome.exhausted == exhausted
+
+
 # Small ints only: a drawn order builds a spec of that size.
 LEAVES = st.one_of(
     st.integers(-2, 10), st.text(max_size=3), st.floats(), st.booleans(), st.none()
 )
 OBJECTS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8)
 LATIN3 = make_latin_spec(3)
-# Each public constructor, and each free function that takes an int, a
-# sequence of ints or a library object, with valid arguments.
+# Each public constructor, each free function that takes an int, a sequence
+# of ints or a library object, and each method that takes a vector, with
+# valid arguments.
 CALLS = {
     "make_latin_spec": (make_latin_spec, (3, ((1, 2), (5, 3)))),
     "make_classic_spec": (make_classic_spec, (4, ((1, 2), (6, 3)))),
@@ -365,6 +419,9 @@ CALLS = {
     "rank_of_difference_matrix": (rank_of_difference_matrix, (build_difference_matrix(3),)),
     "render_tableau": (render_tableau, (Assignment(3, X3),)),
     "ConstraintMatrix": (ConstraintMatrix, (2, 3, ((1, 2), (3, 1)))),
+    "ConstraintMatrix.apply": (build_difference_matrix(3).apply, ((2, 1, 3),)),
+    "ConstraintMatrix.apply_transpose": (build_difference_matrix(3).apply_transpose, ((1, -1, 1),)),
+    "Permutation.apply_to_vector": (Permutation((2, 1, 3, 4)).apply_to_vector, ((5, 6, 7, 8),)),
 }
 
 
