@@ -100,12 +100,11 @@ def require_int(what: str, value) -> None:
         raise InputTypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
-def require_instance(what: str, value, cls: type) -> None:
-    """Raise InputTypeError unless ``value`` is a ``cls``."""
+def require_instance(what: str, value, cls: type | tuple[type, ...]) -> None:
+    """Raise InputTypeError unless ``value`` is a ``cls`` (or one of a tuple's)."""
     if not isinstance(value, cls):
-        raise InputTypeError(
-            f"{what} must be a {cls.__name__}, got {type(value).__name__}"
-        )
+        names = " or ".join(c.__name__ for c in cls) if type(cls) is tuple else cls.__name__
+        raise InputTypeError(f"{what} must be a {names}, got {type(value).__name__}")
 
 
 def as_tuple(what: str, items) -> tuple:

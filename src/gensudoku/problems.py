@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 # check_givens/check_necessary are not called here; bench/tracing.py looks them up.
@@ -148,40 +148,31 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
     """Whether x solves the problem, and if not, its first failed clause.
 
     Raises InputTypeError when problem is not a ProblemSpec or x not an
-    Assignment, DimensionError when x has the wrong length.  The decision
-    is the library's one certificate: every cell in 1..n (tested first, so
-    only such values are shifted), then ``_certifies``.  Only a grid it
-    rejects is walked clause by clause to word the failure: range, then
-    each constraint's groups in constraint order (a group two constraints
-    share, such as a Latin column, is named by the first), then the givens.
+    Assignment, DimensionError when x has the wrong length.  Range is
+    checked first; then the certificate, ``_first_fault``, decides and
+    names the failing clause, a group by its first (constraint, block).
     """
     cells = _checked_cells(problem, x)
     n = problem.n
-    if 1 <= min(cells) and max(cells) <= n and _certifies(problem, cells):
-        return VerificationResult(True, None, "all clauses hold")
     for i, value in enumerate(cells, start=1):
         if not 1 <= value <= n:
             return VerificationResult(
                 False, "range", f"cell {i} holds {value}, outside 1..{n}"
             )
-    for constraint_id, groups in enumerate(problem.compiled_groups, start=1):
-        for block, group in enumerate(groups):
-            values = [cells[c] for c in group]
-            if len(set(values)) < n:
-                zero_row = next(vanishing_rows(values, block))
-                return VerificationResult(
-                    False,
-                    "constraint",
-                    f"constraint {constraint_id}, row {zero_row}: zero difference",
-                )
-    for cell, value in problem.givens:
-        if x.cells[cell - 1] != value:
-            return VerificationResult(
-                False,
-                "given",
-                f"cell {cell} holds {x.cells[cell - 1]}, given is {value}",
-            )
-    return VerificationResult(True, None, "all clauses hold")
+    fault = _first_fault(problem, cells)
+    if fault is None:
+        return VerificationResult(True, None, "all clauses hold")
+    groups = problem.distinct_groups
+    if fault < len(groups):
+        group = groups[fault]
+        every = list(chain.from_iterable(problem.compiled_groups))
+        constraint, block = divmod(every.index(group), n)
+        zero_row = next(vanishing_rows([cells[c] for c in group], block))
+        detail = f"constraint {constraint + 1}, row {zero_row}: zero difference"
+        return VerificationResult(False, "constraint", detail)
+    cell, value = problem.givens[fault - len(groups)]
+    detail = f"cell {cell} holds {cells[cell - 1]}, given is {value}"
+    return VerificationResult(False, "given", detail)
 
 
 @dataclass
@@ -194,23 +185,29 @@ class SolveOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _certifies(problem: ProblemSpec, values: Sequence[int]) -> bool:
-    """Whether a filled grid solves the defining system, in one bitmask pass.
+def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> Optional[int]:
+    """The first clause a filled grid fails, in one bitmask pass, or None.
 
     A group of n cells holds a permutation of 1..n exactly when the OR of
     ``1 << value`` over its cells is bits 1..n; a value of 0 or above n sets
     a bit outside them (a negative one cannot be shifted, so callers pass
     values >= 0).  Such a group has no zero difference and, by
-    ``sign_sum_closed_form``, reconstructs to itself.  The givens must stand.
+    ``sign_sum_closed_form``, reconstructs to itself.  Then the givens must
+    stand.  A fault is distinct group k, or given k - len(distinct_groups).
     """
     full = ((1 << problem.n) - 1) << 1
-    for group in problem.distinct_groups:
+    groups = problem.distinct_groups
+    for group in groups:
         seen = 0
         for cell in group:
             seen |= 1 << values[cell]
         if seen != full:
-            return False
-    return all(values[cell - 1] == value for cell, value in problem.givens)
+            # Found only on failure: an index kept in this loop costs brute_force.
+            return groups.index(group)
+    for k, (cell, value) in enumerate(problem.givens, len(groups)):
+        if values[cell - 1] != value:
+            return k
+    return None
 
 
 def solve(
@@ -221,30 +218,16 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  It reads the spec's
-    ``distinct_groups``, indexes each cell's groups in its set-up sweep, and
-    keeps each free cell's candidate mask current: placing v clears bit v,
-    through each of the cell's groups, from the free cells there that hold
-    it and pushes them on a trail, and undoing the value restores exactly
-    the cells pushed since its frame's trail mark.  Each node takes the
-    most-constrained free cell (MRV), ties broken by lowest index.  If one
-    has at most one candidate, that is the lowest cell of ``low``, a bit
-    mask of such cells kept current as peers are trailed; otherwise a scan
-    finds it.  Failing that, one pass over the distinct groups, in order,
-    looks for a value missing from a group: if no free cell there can take
-    it the node is a dead end; if one cell can (a hidden single), that cell
-    gets that value.  The pass skips the groups of ``quiet``, a bit mask of
-    groups it counted and found neither in, none of whose cells' masks a
-    placement has changed since.  Failing both, the MRV cell is branched
-    on, values ascending.  Undoing touches neither mask: a frame resumes
-    with a value left only at a branch node, where no free cell had fewer
-    than two candidates and every group was quiet, so a resume resets
-    ``low`` to 0 and ``quiet`` to every group.  Every
-    emitted solution is certified by one OR of ``1 << value`` per distinct
-    group, plus the givens (``_certifies``); ``verify_solution`` only words
-    the SelfCheckError when that fails.  ``selfcheck`` is accepted and
-    ignored.  A ``cap`` that is not an int, or is below 1, raises
-    InvalidCapError; a ``problem`` that is not a ProblemSpec, InputTypeError.
+    the interpreter's recursion limit.  Each node takes the most-constrained
+    free cell, lowest index on ties.  Unless it has at most one candidate,
+    the first group in order with a value no free cell there can take ends
+    the node, and one with a value only one cell can take places it there;
+    failing both, the cell is branched on, values ascending.  Every emitted
+    solution must pass the certificate (``_first_fault``); one that fails
+    raises SelfCheckError, worded by ``verify_solution``, with the grid.
+    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
+    is below 1, raises InvalidCapError; a ``problem`` that is not a
+    ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
     if cap is not None:
@@ -307,16 +290,15 @@ def solve(
             best = (low & -low).bit_length() - 1
             best_count = cand[best].bit_count()
         else:
+            # low is 0: a filled cell has mask 0, a free one 2+ candidates.
             best, best_count = None, n + 1
             for i in unassigned:
-                if values[i]:
-                    continue
-                count = cand[i].bit_count()
-                if count < best_count:
+                m = cand[i]
+                if m and (count := m.bit_count()) < best_count:
                     best, best_count = i, count
         if best is None:
             sol = Assignment(n, tuple(values))
-            if not _certifies(problem, values):
+            if _first_fault(problem, values) is not None:
                 detail = verify_solution(problem, sol).detail
                 raise SelfCheckError(
                     f"search emitted an invalid solution: {detail}", sol
@@ -404,8 +386,8 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
 
     Independent of ``solve``'s search: no propagation, no pruning beyond the
     fixed givens.  Every fill of the free cells with values 1..n counts as
-    a node and is tested by ``_certifies``; an Assignment is built only for
-    a fill it accepts.  Refuses when n ** free_cells exceeds
+    a node and is tested by ``_first_fault``; an Assignment is built only
+    for a fill it accepts.  Refuses when n ** free_cells exceeds
     BRUTE_FORCE_LIMIT.
     """
     require_instance("problem", problem, ProblemSpec)
@@ -422,7 +404,7 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
     for fill in product(range(1, n + 1), repeat=len(free)):
         for cell, value in zip(free, fill):
             base[cell] = value
-        if _certifies(problem, base):
+        if _first_fault(problem, base) is None:
             outcome.solutions.append(Assignment(n, tuple(base)))
     return outcome
 

@@ -10,6 +10,7 @@ labels; groups are ordered by first appearance in reading order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -19,6 +20,8 @@ from .condition import Assignment
 from .errors import PuzzleFormatError, require_instance
 from .permutations import Partition
 from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_latin_spec
+
+_PATH_TYPES = (str, os.PathLike)
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,15 @@ class PuzzleDocument:
         return Assignment(self.n, self.cells)
 
 
+def _fail_for(text: str, source_name: str):
+    """PuzzleFormatError bound to source_name, after checking both are str."""
+    require_instance("text", text, str)
+    require_instance("source_name", source_name, str)
+    return partial(PuzzleFormatError, source_name=source_name)
+
+
 def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
-    fail = partial(PuzzleFormatError, source_name=source_name)
+    fail = _fail_for(text, source_name)
     lines = text.splitlines()
     if not lines:
         raise fail("empty input", 1)
@@ -105,7 +115,7 @@ def parse_dot_string(text: str, source_name: str = "<string>") -> PuzzleDocument
     The characters stand on one line of the text; positions are that line
     (numbered as ``str.splitlines`` splits, from 1) and the column in it.
     """
-    fail = partial(PuzzleFormatError, source_name=source_name)
+    fail = _fail_for(text, source_name)
     filled = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     if len(filled) > 1:
         message = f"expected 81 characters on one line, found {len(filled)} lines"
@@ -134,7 +144,7 @@ def parse_regions(text: str, source_name: str = "<string>") -> Partition:
     PuzzleFormatError at that cell's line and column.  With neither, the n
     labels hold n cells each, so they partition the n^2 cells.
     """
-    fail = partial(PuzzleFormatError, source_name=source_name)
+    fail = _fail_for(text, source_name)
     rows = [(i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not rows:
         raise fail("empty region file", 1)
@@ -176,7 +186,8 @@ def read_text(path: str | Path) -> str:
         raise PuzzleFormatError(str(exc), source_name=str(path)) from exc
 
 
-def load_puzzle(path: str | Path) -> PuzzleDocument:
+def load_puzzle(path: str | os.PathLike) -> PuzzleDocument:
+    require_instance("path", path, _PATH_TYPES)
     path = Path(path)
     text = read_text(path)
     # One non-blank line that is not an 'n <n>' header is the 81-character form.
@@ -186,16 +197,20 @@ def load_puzzle(path: str | Path) -> PuzzleDocument:
     return parse_puzzle(text, source_name=str(path))
 
 
-def build_problem(doc: PuzzleDocument, base_dir: Optional[Path] = None) -> ProblemSpec:
+def build_problem(
+    doc: PuzzleDocument, base_dir: str | os.PathLike | None = None
+) -> ProblemSpec:
     """Pick constraints for a document.
 
     With a region file: rows, columns and the regions.  Otherwise classic
     subsquares when n is a perfect square, else the Latin-square pair.
     """
+    require_instance("doc", doc, PuzzleDocument)
+    if base_dir is not None:
+        require_instance("base_dir", base_dir, _PATH_TYPES)
     if doc.region_path is not None:
-        region_file = Path(doc.region_path)
-        if not region_file.is_absolute() and base_dir is not None:
-            region_file = base_dir / region_file
+        # Joining drops base_dir before an absolute region path.
+        region_file = Path(base_dir or "", doc.region_path)
         part = parse_regions(read_text(region_file), source_name=str(region_file))
         if part.n != doc.n:
             raise PuzzleFormatError(
@@ -210,6 +225,7 @@ def build_problem(doc: PuzzleDocument, base_dir: Optional[Path] = None) -> Probl
     return make_latin_spec(doc.n, doc.givens())
 
 
-def load_problem(path: str | Path) -> ProblemSpec:
+def load_problem(path: str | os.PathLike) -> ProblemSpec:
+    require_instance("path", path, _PATH_TYPES)
     path = Path(path)
     return build_problem(load_puzzle(path), base_dir=path.parent)

@@ -136,11 +136,15 @@ class TestSolveCommand:
         assert captured.out == ""
 
     def test_selfcheck_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(gensudoku.problems, "_certifies", lambda p, values: False)
-        puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
+        # A certificate that blames the first given rejects every grid.
+        monkeypatch.setattr(
+            gensudoku.problems, "_first_fault", lambda p, values: len(p.distinct_groups)
+        )
+        puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n0 0\n")
         assert run_cli(["solve", puzzle]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: search emitted an invalid solution")
+        assert err.endswith("cell 1 holds 1, given is 1\n")
         assert "Traceback" not in err
 
     def test_byte_stable(self, tmp_path, capsys):

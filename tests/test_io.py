@@ -2,9 +2,11 @@ import pytest
 
 from gensudoku import (
     Assignment,
+    InputTypeError,
     PuzzleFormatError,
     build_problem,
     load_problem,
+    load_puzzle,
     make_latin_spec,
     parse_dot_string,
     parse_puzzle,
@@ -195,3 +197,33 @@ class TestBuildProblem:
         puzzle.write_text("n 3\nregions part.txt\n0 0 0\n0 0 0\n0 0 0\n")
         with pytest.raises(PuzzleFormatError):
             load_problem(puzzle)
+
+
+class TestEntryTypes:
+    @pytest.mark.parametrize("load", [load_puzzle, load_problem])
+    @pytest.mark.parametrize("path", [None, 3, ("p.txt",)])
+    def test_load_needs_a_str_or_path(self, load, path):
+        kind = type(path).__name__
+        with pytest.raises(InputTypeError, match=f"path must be a str or PathLike, got {kind}$"):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_puzzle, load_problem])
+    def test_missing_file_stays_an_os_error(self, load, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load(tmp_path / "missing.txt")
+
+    @pytest.mark.parametrize("parse", [parse_puzzle, parse_dot_string, parse_regions])
+    def test_parsers_need_str_text_and_source_name(self, parse):
+        with pytest.raises(InputTypeError, match="text must be a str, got NoneType$"):
+            parse(None)
+        with pytest.raises(InputTypeError, match="source_name must be a str, got int$"):
+            parse("", 3)
+
+    def test_build_problem_needs_a_document_and_a_path(self, tmp_path):
+        with pytest.raises(InputTypeError, match="doc must be a PuzzleDocument, got NoneType$"):
+            build_problem(None)
+        doc = parse_puzzle("n 2\nregions part.txt\n0 0\n0 0\n")
+        with pytest.raises(InputTypeError, match="base_dir must be a str or PathLike, got int$"):
+            build_problem(doc, base_dir=3)
+        (tmp_path / "part.txt").write_text("a a\nb b\n")
+        assert build_problem(doc, base_dir=str(tmp_path)) == build_problem(doc, tmp_path)

@@ -139,12 +139,19 @@ class TestVerifySolution:
         # two cells of a random group of a random constraint swapped (so
         # the groups crossing it may repeat one), a cell set to a value in
         # 0..n + 1, or left alone (so a given may not stand).  The verdict
-        # and its wording must equal the set-based reference's.
+        # and its wording must equal the set-based reference's.  The last
+        # two specs repeat the rows as constraint 3, in reverse block order
+        # and in order, so a row is always named by constraint 1.
         rng = random.Random(47)
+        latin3 = make_latin_spec(3).constraints
+        reversed_rows = Permutation((7, 8, 9, 4, 5, 6, 1, 2, 3))
+        rows4 = tuple(tuple(range(r * 4 + 1, r * 4 + 5)) for r in range(4))
         for spec, constraint_ids in (
             (make_latin_spec(3, givens=((5, 2),)), {1, 2}),
             (make_classic_spec(4, givens=((1, 1), (16, 1))), {1, 2, 3}),
             (make_gerechte_spec(Partition(4, REGIONS4), givens=((6, 3),)), {1, 2, 3}),
+            (ProblemSpec(3, latin3[:2] + (reversed_rows,), ((5, 2),)), {1, 2}),
+            (make_gerechte_spec(Partition(4, rows4), givens=((6, 3),)), {1, 2}),
         ):
             n = spec.n
             latin = ProblemSpec(n, spec.constraints[:2])
@@ -282,11 +289,15 @@ class TestSolve:
             solve(make_latin_spec(3), cap=cap)
 
     def test_selfcheck_failure_carries_grid(self, monkeypatch):
-        # The search's own certificate rejects the grid; verify_solution,
-        # which accepts it, only words the error.
-        monkeypatch.setattr(gensudoku.problems, "_certifies", lambda p, values: False)
-        with pytest.raises(SelfCheckError, match="invalid solution: all clauses hold") as info:
-            solve(make_latin_spec(2))
+        # A certificate that blames the first given rejects every grid, and
+        # verify_solution words the fault it names.
+        monkeypatch.setattr(
+            gensudoku.problems, "_first_fault", lambda p, values: len(p.distinct_groups)
+        )
+        with pytest.raises(
+            SelfCheckError, match="invalid solution: cell 1 holds 1, given is 1$"
+        ) as info:
+            solve(make_latin_spec(2, givens=((1, 1),)))
         assert info.value.grid == Assignment(2, (1, 2, 2, 1))
 
     def test_certificate_agrees_with_verify_solution(self):
@@ -309,7 +320,7 @@ class TestSolve:
                 for _ in range(rng.choice((0, 0, 1, 2))):
                     cells[rng.randrange(n * n)] = rng.randint(0, n + 1)
                 result = verify_solution(spec, Assignment(n, cells))
-                assert gensudoku.problems._certifies(spec, cells) == result.ok
+                assert (gensudoku.problems._first_fault(spec, cells) is None) == result.ok
                 clauses.add(result.clause)
             assert clauses == {None, "range", "constraint", "given"}
 

@@ -8,8 +8,8 @@ each line and column it reports points at the text it names.  ``run_cli``
 on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
 returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
 or free function (``solve``, ``gsgn``, the sign sums, ``reconstruct``, the
-permutation and matrix builders, the rank, the checkers and
-``render_tableau``) or vector method (``apply``, ``apply_transpose``,
+permutation and matrix builders, the rank, the checkers, ``render_tableau``,
+the parsers and ``build_problem``) or vector method (``apply``, ``apply_transpose``,
 ``apply_to_vector``) given a str, float, bool, None or nested tuple in
 place of an argument or of one of its items returns or raises a
 GenSudokuError.
@@ -39,6 +39,7 @@ from gensudoku import (
     brute_force,
     build_constraint_matrix,
     build_difference_matrix,
+    build_problem,
     check_necessary,
     gsgn,
     identity_permutation,
@@ -391,8 +392,8 @@ LEAVES = st.one_of(
 OBJECTS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8)
 LATIN3 = make_latin_spec(3)
 # Each public constructor, each free function that takes an int, a sequence
-# of ints or a library object, and each method that takes a vector, with
-# valid arguments.
+# of ints, a library object or text, and each method that takes a vector,
+# with valid arguments.
 CALLS = {
     "make_latin_spec": (make_latin_spec, (3, ((1, 2), (5, 3)))),
     "make_classic_spec": (make_classic_spec, (4, ((1, 2), (6, 3)))),
@@ -418,6 +419,10 @@ CALLS = {
     "reconstruct": (reconstruct, (build_difference_matrix(3), (2, 1, 3))),
     "rank_of_difference_matrix": (rank_of_difference_matrix, (build_difference_matrix(3),)),
     "render_tableau": (render_tableau, (Assignment(3, X3),)),
+    "parse_puzzle": (parse_puzzle, ("n 2\n1 0\n0 2\n", "p.txt")),
+    "parse_dot_string": (parse_dot_string, ("." * 81, "p.txt")),
+    "parse_regions": (parse_regions, ("a b\nb a\n", "r.txt")),
+    "build_problem": (build_problem, (PuzzleDocument(3, X3), "puzzles")),
     "ConstraintMatrix": (ConstraintMatrix, (2, 3, ((1, 2), (3, 1)))),
     "ConstraintMatrix.apply": (build_difference_matrix(3).apply, ((2, 1, 3),)),
     "ConstraintMatrix.apply_transpose": (build_difference_matrix(3).apply_transpose, ((1, -1, 1),)),
