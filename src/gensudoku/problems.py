@@ -222,7 +222,10 @@ def solve(
     free cell, lowest index on ties.  Unless it has at most one candidate,
     the first group in order with a value no free cell there can take ends
     the node, and one with a value only one cell can take places it there;
-    failing both, the cell is branched on, values ascending.  Every emitted
+    failing both, the cell is branched on, values ascending.  Only stale
+    groups are counted: one found with neither is counted again only once a
+    mask of its cells changes.  The search stops at the cap or when its
+    stack empties, and builds its outcome at that one exit.  Every emitted
     solution must pass the certificate (``_first_fault``); one that fails
     raises SelfCheckError, worded by ``verify_solution``, with the grid.
     ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
@@ -235,7 +238,6 @@ def solve(
             raise InvalidCapError(f"cap must be an int, got {type(cap).__name__}")
         if cap < 1:
             raise InvalidCapError(f"cap must be >= 1, got {cap}")
-    outcome = SolveOutcome()
     n = problem.n
     total = n * n
     full = ((1 << n) - 1) << 1  # bits 1..n
@@ -258,12 +260,11 @@ def solve(
                 continue
             if used[gid] >> value & 1:
                 first = next(c for c in group if values[c] == value)
-                outcome.diagnostics.append(
+                conflict = (
                     f"givens conflict: cells {first + 1} and {cell + 1} both "
                     f"hold {value} in one constraint group"
                 )
-                outcome.exhausted = True
-                return outcome
+                return SolveOutcome(exhausted=True, diagnostics=[conflict])
             used[gid] |= 1 << value
 
     unassigned = [i for i in range(total) if values[i] == 0]
@@ -276,19 +277,20 @@ def solve(
         cand[i] = mask
         if not mask & (mask - 1):
             low |= 1 << i
-    every_group = (1 << len(groups)) - 1
-    # bit g: group g was counted with no hidden single or dead place found,
-    # and no mask of its cells has changed since
-    quiet = 0
+    # bit g: group g must be counted, as a mask of its cells has changed
+    # since a count last found no hidden single or dead place there
+    stale = (1 << len(groups)) - 1
     trail: list[int] = []  # cells whose candidate bit a placement cleared
     # (cell, values still to try there, its mask before placing, trail mark)
     stack: list[tuple[int, int, int, int]] = []
+    solutions: list[Assignment] = []
+    nodes = 0
     while True:
         # Most-constrained free cell, lowest index on ties: the lowest cell
         # with at most one candidate, else the first minimum of a full scan.
         if low:
             best = (low & -low).bit_length() - 1
-            best_count = cand[best].bit_count()
+            stack.append((best, cand[best], cand[best], len(trail)))
         else:
             # low is 0: a filled cell has mask 0, a free one 2+ candidates.
             best, best_count = None, n + 1
@@ -296,28 +298,27 @@ def solve(
                 m = cand[i]
                 if m and (count := m.bit_count()) < best_count:
                     best, best_count = i, count
-        if best is None:
-            sol = Assignment(n, tuple(values))
-            if _first_fault(problem, values) is not None:
-                detail = verify_solution(problem, sol).detail
-                raise SelfCheckError(
-                    f"search emitted an invalid solution: {detail}", sol
-                )
-            outcome.solutions.append(sol)
-            if cap is not None and len(outcome.solutions) >= cap:
-                return outcome
-        else:
-            best_mask = cand[best]
-            if best_count >= 2:
+            if best is None:
+                sol = Assignment(n, tuple(values))
+                if _first_fault(problem, values) is not None:
+                    detail = verify_solution(problem, sol).detail
+                    raise SelfCheckError(
+                        f"search emitted an invalid solution: {detail}", sol
+                    )
+                solutions.append(sol)
+                if len(solutions) == cap:
+                    break
+            else:
                 # Every group holds each value once, so a value missing from
                 # a group goes in exactly one of its free cells: a value no
                 # cell there can take is a dead end, and one that a single
                 # cell can take (a hidden single) is placed there outright.
-                # Quiet groups have neither and are skipped.
-                stale = every_group & ~quiet
-                while stale:
-                    gbit = stale & -stale
-                    stale ^= gbit
+                # Groups that are not stale have neither and are skipped.
+                best_mask = cand[best]
+                todo = stale
+                while todo:
+                    gbit = todo & -todo
+                    todo ^= gbit
                     gid = gbit.bit_length() - 1
                     group = groups[gid]
                     missing = full & ~used[gid]
@@ -334,8 +335,8 @@ def solve(
                         best_mask = single & -single
                         best = next(c for c in group if cand[c] & best_mask)
                         break
-                    quiet |= gbit
-            stack.append((best, best_mask, cand[best], len(trail)))
+                    stale ^= gbit
+                stack.append((best, best_mask, cand[best], len(trail)))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
             cell, mask, saved, mark = stack.pop()
@@ -347,16 +348,18 @@ def solve(
                     cand[peer] |= bit
                 del trail[mark:]
                 # Only a branch node has a value left to try, and there every
-                # free cell had two or more candidates and every group was
-                # quiet; a frame with none left pops on to one that does.
-                low, quiet = 0, every_group
+                # free cell had two or more candidates and no group was
+                # stale; a frame with none left pops on to one that does.
+                low = stale = 0
             if mask:
                 bit = mask & -mask
-                outcome.nodes_explored += 1
+                nodes += 1
                 values[cell] = bit.bit_length() - 1
                 cand[cell] = 0
                 low &= ~(1 << cell)
-                touched = 0  # groups holding a cell whose mask changes
+                # The cell's own groups need no mark of their own: in a group
+                # that is not stale the value had two or more places, so a
+                # trailed peer marks it.
                 for gid in cell_groups[cell]:
                     used[gid] |= bit
                     for peer in groups[gid]:
@@ -365,20 +368,17 @@ def solve(
                             m ^= bit
                             cand[peer] = m
                             trail.append(peer)
-                            touched |= group_bits[peer]
+                            stale |= group_bits[peer]
                             if not m & (m - 1):
                                 low |= 1 << peer
-                # The cell's own groups need no mark of their own: in a quiet
-                # group the value had two or more places, so a trailed peer
-                # marked it.
-                quiet &= ~touched
                 stack.append((cell, mask ^ bit, saved, mark))
                 break
             values[cell] = 0
             cand[cell] = saved
         else:
-            outcome.exhausted = True
-            return outcome
+            break
+    # The loop ends at the cap or, exhausted, when the stack empties short of it.
+    return SolveOutcome(solutions, nodes, len(solutions) != cap)
 
 
 def brute_force(problem: ProblemSpec) -> SolveOutcome:
@@ -431,14 +431,8 @@ def make_gerechte_spec(
     part: Partition, givens: Iterable[tuple[int, int]] = ()
 ) -> ProblemSpec:
     """Rows, columns and the caller's region partition."""
-    require_instance("part", part, Partition)
+    regions = partition_permutation(part)
     n = part.n
     return ProblemSpec(
-        n,
-        (
-            identity_permutation(n),
-            transpose_permutation(n),
-            partition_permutation(part),
-        ),
-        givens,
+        n, (identity_permutation(n), transpose_permutation(n), regions), givens
     )

@@ -226,6 +226,4 @@ def build_problem(
 
 
 def load_problem(path: str | os.PathLike) -> ProblemSpec:
-    require_instance("path", path, _PATH_TYPES)
-    path = Path(path)
-    return build_problem(load_puzzle(path), base_dir=path.parent)
+    return build_problem(load_puzzle(path), base_dir=Path(path).parent)

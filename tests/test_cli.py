@@ -59,6 +59,13 @@ class TestMatrixCommand:
             assert captured.out == ""
             assert "--pi 3" in captured.err
 
+    def test_region_grid_of_another_order(self, tmp_path, capsys):
+        regions = write(tmp_path, "part.txt", "a a b b\na a b b\nc c d d\nc c d d\n")
+        assert run_cli(["matrix", "9", "--pi", "3", "--regions", regions]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: region grid is 4x4, requested n is 9\n"
+
     def test_bad_order_prints_nothing(self, capsys):
         for n in ("0", "-1"):
             assert run_cli(["matrix", n]) == 2

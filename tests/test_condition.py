@@ -4,6 +4,7 @@ import pytest
 
 from gensudoku import (
     Assignment,
+    ConstraintMatrix,
     InputTypeError,
     NotApplicableError,
     ParityError,
@@ -223,6 +224,12 @@ class TestParityGuard:
     def test_parity_error_carries_position(self):
         err = ParityError(4, 7)
         assert err.index == 4 and err.value == 7
+
+    def test_reconstruct_raises_on_an_odd_sum(self):
+        # Cell 3 lies in no row, so its doubled value is n + 1 = 3, which is odd.
+        with pytest.raises(ParityError, match="^odd component 3 at index 3$") as info:
+            reconstruct(ConstraintMatrix(2, 3, ((1, 2),)), (1, 2, 3))
+        assert (info.value.index, info.value.value) == (3, 3)
 
 
 @pytest.mark.parametrize(

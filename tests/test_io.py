@@ -36,6 +36,17 @@ class TestParsePuzzle:
         doc = parse_puzzle("n 2\nregions part.txt\n0 0\n0 0\n")
         assert doc.region_path == "part.txt"
 
+    def test_regions_line_without_a_path(self):
+        with pytest.raises(PuzzleFormatError) as info:
+            parse_puzzle("n 2\nregions\n0 0\n0 0\n")
+        assert str(info.value) == "<string>: line 2: 'regions' line is missing a path"
+        assert (info.value.line, info.value.column) == (2, None)
+
+    def test_grid_size_below_two(self):
+        with pytest.raises(PuzzleFormatError, match="grid size must be >= 2, got 1$") as info:
+            parse_puzzle("n 1\n0\n")
+        assert (info.value.line, info.value.column) == (1, 2)
+
     def test_bad_header(self):
         with pytest.raises(PuzzleFormatError) as info:
             parse_puzzle("size 3\n")

@@ -68,6 +68,10 @@ class TestPermutation:
         with pytest.raises(InvalidPermutationError):
             Permutation((0, 1, 2))
 
+    def test_identity_of_order_zero_rejected(self):
+        with pytest.raises(InvalidPermutationError, match="^n must be >= 1, got 0$"):
+            identity_permutation(0)
+
 
 class TestTransposePermutation:
     def test_listed_values(self):
@@ -134,6 +138,16 @@ class TestPartition:
     def test_missing_cell_reported(self):
         with pytest.raises(InvalidPartitionError):
             Partition(2, ((1, 2), (3, 3)))
+
+    def test_cell_out_of_range_reported(self):
+        with pytest.raises(InvalidPartitionError, match="^cell 0 outside 1..4$") as info:
+            Partition(2, ((0, 1), (2, 3)))
+        assert info.value.cell == 0
+
+    def test_descending_group_reported(self):
+        with pytest.raises(InvalidPartitionError, match="got 2 before 1$") as info:
+            Partition(2, ((2, 1), (3, 4)))
+        assert info.value.cell == 1
 
     def test_group_rows_reference_cells_of_same_group(self):
         part = Partition(3, REGION3_GROUPS)

@@ -19,9 +19,11 @@ from gensudoku import (
     SelfCheckError,
     SpecError,
     brute_force,
+    build_constraint_matrix,
     build_difference_matrix,
     check_givens,
     check_necessary,
+    identity_permutation,
     make_classic_spec,
     make_gerechte_spec,
     make_latin_spec,
@@ -276,6 +278,23 @@ class TestSolve:
         assert len(outcome.solutions) == 5
         assert not outcome.exhausted
 
+    @pytest.mark.parametrize("cap,exhausted", [(12, False), (13, True), (None, True)])
+    def test_cap_boundary(self, cap, exhausted):
+        # Reaching the cap on the last solution still stops short of
+        # exhausting the search; a cap above the count exhausts it.
+        outcome = solve(make_latin_spec(3), cap=cap)
+        assert (len(outcome.solutions), outcome.nodes_explored) == (12, 87)
+        assert outcome.exhausted is exhausted
+
+    @pytest.mark.parametrize("cap,exhausted", [(1, False), (2, True)])
+    def test_cap_on_a_filled_grid(self, cap, exhausted):
+        # The only solution is emitted before any node, with the stack empty.
+        spec = make_latin_spec(3, givens=tuple(enumerate(X3, start=1)))
+        outcome = solve(spec, cap=cap)
+        assert [s.cells for s in outcome.solutions] == [X3]
+        assert outcome.nodes_explored == 0
+        assert outcome.exhausted is exhausted
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap):
         with pytest.raises(InvalidCapError, match=f"got {cap}$"):
@@ -455,13 +474,31 @@ class TestConstructors:
                 make_latin_spec(3, givens=givens)
 
     def test_spec_errors_are_typed(self):
-        for build in (
-            lambda: make_latin_spec(3, givens=((1, 4),)),
-            lambda: make_classic_spec(3),
-            lambda: make_classic_spec(-1),
-            lambda: build_difference_matrix(0),
+        for build, message in (
+            (lambda: make_latin_spec(3, givens=((1, 4),)), "given value 4 outside 1..3"),
+            (lambda: make_classic_spec(3), "n must be a perfect square >= 4, got 3"),
+            (lambda: make_classic_spec(-1), "n must be a perfect square >= 4, got -1"),
+            (lambda: build_difference_matrix(0), "n must be >= 1, got 0"),
+            (lambda: ProblemSpec(1, (identity_permutation(1),)), "n must be >= 2, got 1"),
+            (
+                lambda: ProblemSpec(3, ()),
+                "at least one constraint permutation is required",
+            ),
+            (
+                lambda: ProblemSpec(3, (identity_permutation(2),)),
+                "constraint permutation size 4 != n^2 = 9",
+            ),
+            (
+                lambda: ProblemSpec(3, (identity_permutation(3),), ((10, 1),)),
+                "given cell 10 outside 1..9",
+            ),
+            (
+                lambda: build_constraint_matrix(1, identity_permutation(1)),
+                "n must be >= 2, got 1",
+            ),
         ):
             with pytest.raises(SpecError) as info:
                 build()
+            assert str(info.value) == message
             assert isinstance(info.value, GenSudokuError)
             assert isinstance(info.value, ValueError)
