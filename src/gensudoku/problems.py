@@ -126,8 +126,8 @@ class ProblemSpec:
 
         A group two constraints list (Latin's columns) restricts nothing
         more and is kept once, at its first place.  The certificate and
-        ``solve`` read only this; ``solve`` indexes each cell's groups in its
-        own set-up sweep.
+        ``solve`` read only this; ``solve`` builds its group and peer masks
+        from it in its own set-up sweep.
         """
         return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
 
@@ -218,19 +218,20 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  Each node takes the most-constrained
-    free cell, lowest index on ties.  Unless it has at most one candidate,
-    the first group in order with a value no free cell there can take ends
-    the node, and one with a value only one cell can take places it there;
-    failing both, the cell is branched on, values ascending.  Only stale
-    groups are counted: one found with neither is counted again only once a
-    mask of its cells changes.  The search stops at the cap or when its
-    stack empties, and builds its outcome at that one exit.  Every emitted
-    solution must pass the certificate (``_first_fault``); one that fails
-    raises SelfCheckError, worded by ``verify_solution``, with the grid.
-    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
-    is below 1, raises InvalidCapError; a ``problem`` that is not a
-    ProblemSpec, InputTypeError.
+    the interpreter's recursion limit.  Each node takes the lowest free cell
+    with at most one candidate.  Failing that, the first group in order with
+    a value no free cell there can take ends the node, and one with a value
+    only one cell can take places it there; failing both, the free cell with
+    the fewest candidates, lowest index on ties, is branched on, values
+    ascending.  Per value, a bit plane holds the free cells that can take
+    it, so a (group, value) place count is one AND, and only pairs whose
+    places changed since they last had two or more are counted.  The search
+    stops at the cap or when its stack empties, and builds its outcome at
+    that one exit.  Every emitted solution must pass the certificate
+    (``_first_fault``); one that fails raises SelfCheckError, worded by
+    ``verify_solution``, with the grid.  ``selfcheck`` is accepted and
+    ignored.  A ``cap`` that is not an int, or is below 1, raises
+    InvalidCapError; a ``problem`` that is not a ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
     if cap is not None:
@@ -245,15 +246,15 @@ def solve(
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # Index each cell's groups (as ids and as one bit per group), mark the
-    # givens' values per group, and stop at the first group, in constraint
-    # order, holding a value twice.
-    cell_groups: list[list[int]] = [[] for _ in range(total)]
+    # Mask each group's cells and each cell's groups, mark the givens'
+    # values per group, and stop at the first group, in constraint order,
+    # holding a value twice.
+    gmask = [0] * len(groups)
     group_bits = [0] * total
     used = [0] * len(groups)  # bitmask of values present per group
     for gid, group in enumerate(groups):
         for cell in group:
-            cell_groups[cell].append(gid)
+            gmask[gid] |= 1 << cell
             group_bits[cell] |= 1 << gid
             value = values[cell]
             if not value:
@@ -266,112 +267,143 @@ def solve(
                 )
                 return SolveOutcome(exhausted=True, diagnostics=[conflict])
             used[gid] |= 1 << value
-
-    unassigned = [i for i in range(total) if values[i] == 0]
-    cand = [0] * total  # candidate mask per free cell, 0 for a filled one
-    low = 0  # bit i: free cell i has at most one candidate
-    for i in unassigned:
-        mask = full
-        for gid in cell_groups[i]:
-            mask &= ~used[gid]
-        cand[i] = mask
-        if not mask & (mask - 1):
-            low |= 1 << i
-    # bit g: group g must be counted, as a mask of its cells has changed
-    # since a count last found no hidden single or dead place there
-    stale = (1 << len(groups)) - 1
-    trail: list[int] = []  # cells whose candidate bit a placement cleared
-    # (cell, values still to try there, its mask before placing, trail mark)
+    peers = [0] * total  # the cells sharing a group with cell i, i left out
+    cand = [full] * total  # candidate mask per free cell, 0 for a filled one
+    for gid, group in enumerate(groups):
+        for cell in group:
+            peers[cell] |= gmask[gid]
+            cand[cell] &= ~used[gid]
+    blocked = [0] * (n + 1)  # cells that share a group with a given v
+    every = (1 << len(groups)) - 1
+    sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
+    unassigned = []
+    free = low = 0  # bit i: cell i is free / free with at most one candidate
+    for i, value in enumerate(values):
+        peers[i] ^= 1 << i
+        if value:
+            cand[i] = 0
+            blocked[value] |= peers[i]
+            sv[value] &= ~group_bits[i]
+        else:
+            unassigned.append(i)
+            free |= 1 << i
+            if not cand[i] & (cand[i] - 1):
+                low |= 1 << i
+    plane = [free & ~cells for cells in blocked]  # bit i: free cell i can take v
+    # (cell, values still to try there, its mask before placing, the peers
+    # its value was cleared from)
     stack: list[tuple[int, int, int, int]] = []
     solutions: list[Assignment] = []
     nodes = 0
     while True:
-        # Most-constrained free cell, lowest index on ties: the lowest cell
-        # with at most one candidate, else the first minimum of a full scan.
         if low:
             best = (low & -low).bit_length() - 1
-            stack.append((best, cand[best], cand[best], len(trail)))
+            mask = cand[best]
+        elif not free:
+            sol = Assignment(n, tuple(values))
+            if _first_fault(problem, values) is not None:
+                detail = verify_solution(problem, sol).detail
+                raise SelfCheckError(
+                    f"search emitted an invalid solution: {detail}", sol
+                )
+            solutions.append(sol)
+            if len(solutions) == cap:
+                break
+            mask = 0
         else:
-            # low is 0: a filled cell has mask 0, a free one 2+ candidates.
-            best, best_count = None, n + 1
-            for i in unassigned:
-                m = cand[i]
-                if m and (count := m.bit_count()) < best_count:
-                    best, best_count = i, count
-            if best is None:
-                sol = Assignment(n, tuple(values))
-                if _first_fault(problem, values) is not None:
-                    detail = verify_solution(problem, sol).detail
-                    raise SelfCheckError(
-                        f"search emitted an invalid solution: {detail}", sol
-                    )
-                solutions.append(sol)
-                if len(solutions) == cap:
-                    break
+            # Every group holds each value once, so a value missing from a
+            # group goes in exactly one of its free cells: a value no cell
+            # there can take is a dead end, and one that a single cell can
+            # take (a hidden single) is placed there outright.  Only stale
+            # (group, value) pairs are counted; the lowest group with one of
+            # at most one place is then recounted whole.
+            stop, below = len(groups), every
+            for v in range(1, n + 1):
+                todo = sv[v] & below
+                if todo:
+                    places = plane[v] & free
+                    stale = sv[v]
+                    while todo:
+                        gbit = todo & -todo
+                        todo ^= gbit
+                        gid = gbit.bit_length() - 1
+                        if (places & gmask[gid]).bit_count() < 2:
+                            stop, below = gid, gbit - 1
+                            break
+                        stale ^= gbit
+                    sv[v] = stale
+            if stop < len(groups):
+                group = groups[stop]
+                ones = twos = 0  # values one / two or more cells can take
+                for cell in group:
+                    m = cand[cell]
+                    twos |= ones & m
+                    ones |= m
+                # A value no cell can take leaves fewer than one per free cell.
+                if ones.bit_count() < (free & gmask[stop]).bit_count():
+                    mask = 0
+                else:
+                    single = ones & ~twos
+                    mask = single & -single
+                    best = next(c for c in group if cand[c] & mask)
             else:
-                # Every group holds each value once, so a value missing from
-                # a group goes in exactly one of its free cells: a value no
-                # cell there can take is a dead end, and one that a single
-                # cell can take (a hidden single) is placed there outright.
-                # Groups that are not stale have neither and are skipped.
-                best_mask = cand[best]
-                todo = stale
-                while todo:
-                    gbit = todo & -todo
-                    todo ^= gbit
-                    gid = gbit.bit_length() - 1
-                    group = groups[gid]
-                    missing = full & ~used[gid]
-                    ones = twos = 0  # values one / two or more cells can take
-                    for cell in group:
-                        m = cand[cell]
-                        twos |= ones & m
-                        ones |= m
-                    if missing & ~ones:
-                        best_mask = 0
-                        break
-                    single = missing & ~twos
-                    if single:
-                        best_mask = single & -single
-                        best = next(c for c in group if cand[c] & best_mask)
-                        break
-                    stale ^= gbit
-                stack.append((best, best_mask, cand[best], len(trail)))
+                # low is 0: a filled cell has mask 0, a free one 2+ candidates.
+                best, best_count = -1, n + 1
+                for i in unassigned:
+                    m = cand[i]
+                    if m and (count := m.bit_count()) < best_count:
+                        best, best_count = i, count
+                mask = cand[best]
+        if mask:
+            stack.append((best, mask, cand[best], 0))
+        elif free:
+            # A dead end: the frame it returns to is a branch node, where no
+            # cell had fewer than two candidates and no pair was stale.
+            low = 0
+            sv = [0] * (n + 1)
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
-            cell, mask, saved, mark = stack.pop()
-            if values[cell]:
-                bit = 1 << values[cell]
-                for gid in cell_groups[cell]:
-                    used[gid] &= ~bit
-                for peer in trail[mark:]:
-                    cand[peer] |= bit
-                del trail[mark:]
-                # Only a branch node has a value left to try, and there every
-                # free cell had two or more candidates and no group was
-                # stale; a frame with none left pops on to one that does.
-                low = stale = 0
+            cell, mask, saved, back = stack.pop()
+            cbit = 1 << cell
+            value = values[cell]
+            if value:
+                bit = 1 << value
+                plane[value] ^= back
+                free |= cbit
+                while back:
+                    peer = back & -back
+                    back ^= peer
+                    cand[peer.bit_length() - 1] |= bit
             if mask:
                 bit = mask & -mask
+                value = bit.bit_length() - 1
                 nodes += 1
-                values[cell] = bit.bit_length() - 1
+                values[cell] = value
                 cand[cell] = 0
-                low &= ~(1 << cell)
-                # The cell's own groups need no mark of their own: in a group
-                # that is not stale the value had two or more places, so a
-                # trailed peer marks it.
-                for gid in cell_groups[cell]:
-                    used[gid] |= bit
-                    for peer in groups[gid]:
-                        m = cand[peer]
-                        if m & bit:
-                            m ^= bit
-                            cand[peer] = m
-                            trail.append(peer)
-                            stale |= group_bits[peer]
-                            if not m & (m - 1):
-                                low |= 1 << peer
-                stack.append((cell, mask ^ bit, saved, mark))
+                low &= ~cbit
+                free ^= cbit
+                lost = plane[value] & peers[cell] & free
+                plane[value] ^= lost
+                stack.append((cell, mask ^ bit, saved, lost))
+                touched = 0
+                while lost:
+                    pbit = lost & -lost
+                    lost ^= pbit
+                    peer = pbit.bit_length() - 1
+                    m = cand[peer] ^ bit
+                    cand[peer] = m
+                    touched |= group_bits[peer]
+                    if not m & (m - 1):
+                        low |= pbit
+                # v is no longer missing from the cell's groups, and each of
+                # its other candidates lost a place in each of them.
+                own = group_bits[cell]
+                sv[value] = (sv[value] | touched) & ~own
+                others = saved ^ bit
+                while others:
+                    wbit = others & -others
+                    others ^= wbit
+                    sv[wbit.bit_length() - 1] |= own
                 break
             values[cell] = 0
             cand[cell] = saved

@@ -173,15 +173,17 @@ def exact_cover_solutions(n, groups, givens=()):
 
 
 def reference_search(spec, cap=None):
-    """``(solutions, nodes, exhausted)`` of ``solve``'s search, recounting as
-    it did before it kept a ``low`` cell mask and a ``quiet`` group mask.
+    """``(solutions, nodes, exhausted)`` of ``solve``'s search, recounting at
+    every node what ``solve`` reads off its ``low`` cell mask, its value
+    planes and its stale (group, value) marks.
 
-    Its loop is that search's, unchanged: the MRV scan over every free cell
-    at every node, stopping at a count of 0 or 1, and the hidden-single /
-    dead-place pass over every distinct group with a missing value.  It
-    builds the distinct groups from the spec's permutations itself and
-    returns the grids as tuples, uncertified; givens that repeat a value in
-    a group give no solutions, no nodes and ``exhausted``.
+    Its loop is the search as it was before those, on a trail: the MRV
+    scan over every free cell at every node, stopping at a count of 0 or 1,
+    and the hidden-single / dead-place pass over every distinct group with
+    a missing value.  It builds the distinct groups from the spec's
+    permutations itself and returns the grids as tuples, uncertified;
+    givens that repeat a value in a group give no solutions, no nodes and
+    ``exhausted``.
     """
     n = spec.n
     total = n * n

@@ -6,6 +6,7 @@ independent enumeration oracles computed here, never from the code paths
 under test.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -48,6 +49,7 @@ from reference_data import (
     X9,
     X9_COLUMN_SUMS,
     X9_SIGNS,
+    reference_search,
 )
 
 SUDOKU_9X9_FIXTURES = [
@@ -432,6 +434,37 @@ def test_search_nodes_and_order_are_pinned():
         dead_place.nodes_explored, dead_place.solutions, dead_place.exhausted,
         dead_place.diagnostics,
     ) == (0, [], True, [])
+
+
+def test_empty_grid_searches_are_pinned():
+    # The empty grids hard-search solves at cap=1: their node counts and
+    # first solutions, pinned by a digest of the cells and held to the
+    # reference search, which recounts every group at every node.
+    for spec, node_count, digest in (
+        (make_latin_spec(20), 400, "d31245f3b0345488"),
+        (make_classic_spec(16), 260, "bee0e2fbbb520ffe"),
+        (make_classic_spec(25), 628, "e53a79bc63806bbd"),
+    ):
+        outcome = solve(spec, cap=1)
+        (sol,) = outcome.solutions
+        assert outcome.nodes_explored == node_count and not outcome.exhausted
+        assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
+        assert reference_search(spec, 1) == ([sol.cells], node_count, False)
+
+
+def test_a_dead_place_in_a_group_whose_first_cell_is_given():
+    # Regions fitted to a 6x6 Latin square.  Mid-search, after a branch, a
+    # value has no place left in row 4, whose first cell (19) is given; the
+    # search backtracks from there and still finds the one solution.
+    regions = (
+        (3, 11, 20, 21, 22, 23), (2, 8, 18, 26, 30, 31), (1, 16, 19, 24, 35, 36),
+        (6, 7, 12, 14, 17, 27), (5, 9, 13, 25, 32, 33), (4, 10, 15, 28, 29, 34),
+    )
+    givens = ((4, 5), (5, 6), (6, 4), (12, 2), (19, 5), (30, 3), (33, 3))
+    spec = make_gerechte_spec(Partition(6, regions), givens)
+    outcome = solve(spec)
+    assert (outcome.nodes_explored, len(outcome.solutions), outcome.exhausted) == (31, 1, True)
+    assert reference_search(spec) == ([s.cells for s in outcome.solutions], 31, True)
 
 
 def test_criterion_9_negative_suite(capsys):
