@@ -268,7 +268,7 @@ def solve(
                 return SolveOutcome(exhausted=True, diagnostics=[conflict])
             used[gid] |= 1 << value
     peers = [0] * total  # the cells sharing a group with cell i, i left out
-    cand = [full] * total  # candidate mask per free cell, 0 for a filled one
+    cand = [full] * total  # candidate mask per cell, kept while it is filled
     for gid, group in enumerate(groups):
         for cell in group:
             peers[cell] |= gmask[gid]
@@ -281,7 +281,6 @@ def solve(
     for i, value in enumerate(values):
         peers[i] ^= 1 << i
         if value:
-            cand[i] = 0
             blocked[value] |= peers[i]
             sv[value] &= ~group_bits[i]
         else:
@@ -290,9 +289,8 @@ def solve(
             if not cand[i] & (cand[i] - 1):
                 low |= 1 << i
     plane = [free & ~cells for cells in blocked]  # bit i: free cell i can take v
-    # (cell, values still to try there, its mask before placing, the peers
-    # its value was cleared from)
-    stack: list[tuple[int, int, int, int]] = []
+    # (cell, values still to try there, the peers its value was cleared from)
+    stack: list[tuple[int, int, int]] = []
     solutions: list[Assignment] = []
     nodes = 0
     while True:
@@ -316,8 +314,8 @@ def solve(
             # there can take is a dead end, and one that a single cell can
             # take (a hidden single) is placed there outright.  Only stale
             # (group, value) pairs are counted; the lowest group with one of
-            # at most one place is then recounted whole.
-            stop, below = len(groups), every
+            # at most one place is then decided from its planes.
+            stop, below = -1, every
             for v in range(1, n + 1):
                 todo = sv[v] & below
                 if todo:
@@ -332,30 +330,30 @@ def solve(
                             break
                         stale ^= gbit
                     sv[v] = stale
-            if stop < len(groups):
-                group = groups[stop]
-                ones = twos = 0  # values one / two or more cells can take
-                for cell in group:
-                    m = cand[cell]
-                    twos |= ones & m
-                    ones |= m
-                # A value no cell can take leaves fewer than one per free cell.
-                if ones.bit_count() < (free & gmask[stop]).bit_count():
+            if stop >= 0:
+                # A placed value has no place in the group, so fewer values
+                # with a place than free cells leaves a missing value none: a
+                # dead end.  Else the lowest value with one place (found last)
+                # goes there.
+                cells = free & gmask[stop]
+                short, mask = cells.bit_count(), 0
+                for v in range(n, 0, -1):
+                    p = plane[v] & cells
+                    if p:
+                        short -= 1
+                        if not p & (p - 1):
+                            mask, best = 1 << v, p.bit_length() - 1
+                if short:
                     mask = 0
-                else:
-                    single = ones & ~twos
-                    mask = single & -single
-                    best = next(c for c in group if cand[c] & mask)
             else:
-                # low is 0: a filled cell has mask 0, a free one 2+ candidates.
+                # low is 0: every free cell has two or more candidates.
                 best, best_count = -1, n + 1
                 for i in unassigned:
-                    m = cand[i]
-                    if m and (count := m.bit_count()) < best_count:
+                    if not values[i] and (count := cand[i].bit_count()) < best_count:
                         best, best_count = i, count
                 mask = cand[best]
         if mask:
-            stack.append((best, mask, cand[best], 0))
+            stack.append((best, mask, 0))
         elif free:
             # A dead end: the frame it returns to is a branch node, where no
             # cell had fewer than two candidates and no pair was stale.
@@ -363,7 +361,7 @@ def solve(
             sv = [0] * (n + 1)
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
-            cell, mask, saved, back = stack.pop()
+            cell, mask, back = stack.pop()
             cbit = 1 << cell
             value = values[cell]
             if value:
@@ -379,12 +377,11 @@ def solve(
                 value = bit.bit_length() - 1
                 nodes += 1
                 values[cell] = value
-                cand[cell] = 0
                 low &= ~cbit
                 free ^= cbit
                 lost = plane[value] & peers[cell] & free
                 plane[value] ^= lost
-                stack.append((cell, mask ^ bit, saved, lost))
+                stack.append((cell, mask ^ bit, lost))
                 touched = 0
                 while lost:
                     pbit = lost & -lost
@@ -399,14 +396,13 @@ def solve(
                 # its other candidates lost a place in each of them.
                 own = group_bits[cell]
                 sv[value] = (sv[value] | touched) & ~own
-                others = saved ^ bit
+                others = cand[cell] ^ bit
                 while others:
                     wbit = others & -others
                     others ^= wbit
                     sv[wbit.bit_length() - 1] |= own
                 break
             values[cell] = 0
-            cand[cell] = saved
         else:
             break
     # The loop ends at the cap or, exhausted, when the stack empties short of it.

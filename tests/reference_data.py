@@ -10,7 +10,10 @@ vector of its product with X9, and the resulting column sums.  The
 wording that shares no code with the library, ``exact_cover_solutions``
 a second route to ``solve``'s solution set, ``reference_search`` a second
 route to its node count and solution order, and ``reference_rank`` a
-second route to ``rank_of_difference_matrix``.
+second route to ``rank_of_difference_matrix``.  ``reference_search``
+decides a group by recounting its cells' candidate masks, where ``solve``
+reads the group's value planes, so the two reach each dead end and hidden
+single by different routes.
 """
 
 A9_DENSE = (

@@ -47,6 +47,11 @@ class TestParsePuzzle:
             parse_puzzle("n 1\n0\n")
         assert (info.value.line, info.value.column) == (1, 2)
 
+    def test_grid_size_not_an_integer(self):
+        with pytest.raises(PuzzleFormatError, match="grid size 'x' is not an integer$") as info:
+            parse_puzzle("n x\n")
+        assert (info.value.line, info.value.column) == (1, 2)
+
     def test_bad_header(self):
         with pytest.raises(PuzzleFormatError) as info:
             parse_puzzle("size 3\n")

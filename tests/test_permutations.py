@@ -139,6 +139,12 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError):
             Partition(2, ((1, 2), (3, 3)))
 
+    def test_group_of_the_wrong_size_reported(self):
+        with pytest.raises(
+            InvalidPartitionError, match=r"^group \(1, 2, 3\) has 3 cells, expected 2$"
+        ):
+            Partition(2, ((1, 2, 3), (4,)))
+
     def test_cell_out_of_range_reported(self):
         with pytest.raises(InvalidPartitionError, match="^cell 0 outside 1..4$") as info:
             Partition(2, ((0, 1), (2, 3)))
