@@ -218,20 +218,24 @@ def solve(
     """Depth-first backtracking search on an explicit stack, deterministic order.
 
     The search is one loop, not recursion, so its depth is not bounded by
-    the interpreter's recursion limit.  Each node takes the lowest free cell
-    with at most one candidate.  Failing that, the first group in order with
-    a value no free cell there can take ends the node, and one with a value
-    only one cell can take places it there; failing both, the free cell with
-    the fewest candidates, lowest index on ties, is branched on, values
-    ascending.  Per value, a bit plane holds the free cells that can take
-    it, so a (group, value) place count is one AND, and only pairs whose
-    places changed since they last had two or more are counted.  The search
-    stops at the cap or when its stack empties, and builds its outcome at
-    that one exit.  Every emitted solution must pass the certificate
-    (``_first_fault``); one that fails raises SelfCheckError, worded by
-    ``verify_solution``, with the grid.  ``selfcheck`` is accepted and
-    ignored.  A ``cap`` that is not an int, or is below 1, raises
-    InvalidCapError; a ``problem`` that is not a ProblemSpec, InputTypeError.
+    the interpreter's recursion limit.  A node with a free cell that has no
+    candidate is a dead end; else it takes the lowest free cell with one.
+    Failing both, a pass over (group, value) pairs stops at the first group
+    in order with a value no free cell there can take (a dead end) or that
+    only one can take (placed there).  When the places of v in group g all
+    lie in another group h, the pass takes v from h's other cells at once
+    (locked places), which may leave a cell with one candidate or none.
+    Failing all of these, the free cell with the fewest candidates, lowest
+    index on ties, is branched on, values ascending.  Per value, a bit
+    plane holds the free cells that can take it, so a (group, value) place
+    count is one AND, and only pairs whose places changed since they last
+    had two or more are counted.  The search stops at the cap or when its
+    stack empties, and builds its outcome at that one exit.  Every emitted
+    solution must pass the certificate (``_first_fault``); one that fails
+    raises SelfCheckError, worded by ``verify_solution``, with the grid.
+    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int,
+    or is below 1, raises InvalidCapError; a ``problem`` that is not a
+    ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
     if cap is not None:
@@ -269,15 +273,33 @@ def solve(
             used[gid] |= 1 << value
     peers = [0] * total  # the cells sharing a group with cell i, i left out
     cand = [full] * total  # candidate mask per cell, kept while it is filled
+    inter = [0] * len(groups)  # the groups sharing two or more cells with g
     for gid, group in enumerate(groups):
+        seen = twice = 0
         for cell in group:
             peers[cell] |= gmask[gid]
             cand[cell] &= ~used[gid]
+            twice |= seen & group_bits[cell]
+            seen |= group_bits[cell]
+        inter[gid] = twice ^ 1 << gid  # n >= 2 cells put g itself in twice
+    # A (group, value) pair with at most span places is looked at closely:
+    # fewer than two end the pass, and more may lie in another group, which
+    # takes no more than the most cells two groups share.
+    span = max(
+        [
+            (gmask[g] & gmask[h]).bit_count()
+            for g, hs in enumerate(inter)
+            for h in range(g)
+            if hs >> h & 1
+        ],
+        default=1,
+    )
     blocked = [0] * (n + 1)  # cells that share a group with a given v
     every = (1 << len(groups)) - 1
     sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
     unassigned = []
     free = low = 0  # bit i: cell i is free / free with at most one candidate
+    dead = False  # some free cell has no candidate
     for i, value in enumerate(values):
         peers[i] ^= 1 << i
         if value:
@@ -288,13 +310,85 @@ def solve(
             free |= 1 << i
             if not cand[i] & (cand[i] - 1):
                 low |= 1 << i
+                dead = dead or not cand[i]
     plane = [free & ~cells for cells in blocked]  # bit i: free cell i can take v
-    # (cell, values still to try there, the peers its value was cleared from)
+    # (cell, values still to try there, the peers its value was cleared
+    # from), or (~v, 0, the cells a locked step took v from)
     stack: list[tuple[int, int, int]] = []
     solutions: list[Assignment] = []
     nodes = 0
     while True:
-        if low:
+        stop = -1
+        if free and not (dead or low):
+            # Every group holds each value once, so a value missing from a
+            # group goes in exactly one of its free cells: a value no cell
+            # there can take is a dead end, and one that a single cell can
+            # take (a hidden single) is placed there outright.  If its
+            # places all lie in another group h too, h's v is among them,
+            # so v leaves h's other cells.  Only stale (group, value) pairs
+            # are counted; the lowest group with one of at most one place
+            # is then decided from its planes.
+            below = every
+            for v in range(1, n + 1):
+                todo = sv[v] & below
+                if todo:
+                    places = plane[v] & free
+                    stale = sv[v]
+                    while todo:
+                        gbit = todo & -todo
+                        todo ^= gbit
+                        gid = gbit.bit_length() - 1
+                        count = (p := places & gmask[gid]).bit_count()
+                        if count <= span:
+                            if count < 2:
+                                stop, below = gid, gbit - 1
+                                break
+                            # A group h that holds all of p holds its last
+                            # cell and shares two or more cells with g.
+                            hs = inter[gid] & group_bits[p.bit_length() - 1]
+                            lost = 0
+                            while hs:
+                                hbit = hs & -hs
+                                hs ^= hbit
+                                h = gmask[hbit.bit_length() - 1]
+                                if p & h == p:
+                                    lost |= (places & h) ^ p
+                            if lost:
+                                places ^= lost
+                                plane[v] ^= lost
+                                stack.append((~v, 0, lost))
+                                bit = 1 << v
+                                while lost:
+                                    pbit = lost & -lost
+                                    lost ^= pbit
+                                    peer = pbit.bit_length() - 1
+                                    m = cand[peer] ^ bit
+                                    cand[peer] = m
+                                    stale |= group_bits[peer]
+                                    todo |= group_bits[peer] & below
+                                    if not m & (m - 1):
+                                        low |= pbit
+                                        dead = dead or not m
+                        stale ^= gbit
+                    sv[v] = stale
+        if stop >= 0:
+            # A placed value has no place in the group, so fewer values
+            # with a place than free cells leaves a missing value none: a
+            # dead end.  Else the lowest value with one place (found last)
+            # goes there.
+            cells = free & gmask[stop]
+            short, mask = cells.bit_count(), 0
+            for v in range(n, 0, -1):
+                p = plane[v] & cells
+                if p:
+                    short -= 1
+                    if not p & (p - 1):
+                        mask, best = 1 << v, p.bit_length() - 1
+            if short:
+                mask = 0
+        elif dead:
+            mask = 0
+        elif low:
             best = (low & -low).bit_length() - 1
             mask = cand[best]
         elif not free:
@@ -309,102 +403,68 @@ def solve(
                 break
             mask = 0
         else:
-            # Every group holds each value once, so a value missing from a
-            # group goes in exactly one of its free cells: a value no cell
-            # there can take is a dead end, and one that a single cell can
-            # take (a hidden single) is placed there outright.  Only stale
-            # (group, value) pairs are counted; the lowest group with one of
-            # at most one place is then decided from its planes.
-            stop, below = -1, every
-            for v in range(1, n + 1):
-                todo = sv[v] & below
-                if todo:
-                    places = plane[v] & free
-                    stale = sv[v]
-                    while todo:
-                        gbit = todo & -todo
-                        todo ^= gbit
-                        gid = gbit.bit_length() - 1
-                        if (places & gmask[gid]).bit_count() < 2:
-                            stop, below = gid, gbit - 1
-                            break
-                        stale ^= gbit
-                    sv[v] = stale
-            if stop >= 0:
-                # A placed value has no place in the group, so fewer values
-                # with a place than free cells leaves a missing value none: a
-                # dead end.  Else the lowest value with one place (found last)
-                # goes there.
-                cells = free & gmask[stop]
-                short, mask = cells.bit_count(), 0
-                for v in range(n, 0, -1):
-                    p = plane[v] & cells
-                    if p:
-                        short -= 1
-                        if not p & (p - 1):
-                            mask, best = 1 << v, p.bit_length() - 1
-                if short:
-                    mask = 0
-            else:
-                # low is 0: every free cell has two or more candidates.
-                best, best_count = -1, n + 1
-                for i in unassigned:
-                    if not values[i] and (count := cand[i].bit_count()) < best_count:
-                        best, best_count = i, count
-                mask = cand[best]
+            # Every free cell has two or more candidates.
+            best, best_count = -1, n + 1
+            for i in unassigned:
+                if not values[i] and (count := cand[i].bit_count()) < best_count:
+                    best, best_count = i, count
+            mask = cand[best]
         if mask:
-            stack.append((best, mask, 0))
-        elif free:
-            # A dead end: the frame it returns to is a branch node, where no
-            # cell had fewer than two candidates and no pair was stale.
-            low = 0
-            sv = [0] * (n + 1)
-        # Backtrack to the deepest cell with a value left and place its lowest.
-        while stack:
-            cell, mask, back = stack.pop()
-            cbit = 1 << cell
-            value = values[cell]
-            if value:
-                bit = 1 << value
+            cell = best
+        else:
+            # A dead end or a solution: the frame it returns to is a branch
+            # node, where no cell had fewer than two candidates and no pair
+            # was stale.  Undo back to the deepest cell with a value left.
+            low, dead, sv = 0, False, [0] * (n + 1)
+            while stack:
+                cell, mask, back = stack.pop()
+                if cell < 0:
+                    value = ~cell
+                else:
+                    value = values[cell]
+                    values[cell] = 0
+                    free |= 1 << cell
                 plane[value] ^= back
-                free |= cbit
+                bit = 1 << value
                 while back:
                     peer = back & -back
                     back ^= peer
                     cand[peer.bit_length() - 1] |= bit
-            if mask:
-                bit = mask & -mask
-                value = bit.bit_length() - 1
-                nodes += 1
-                values[cell] = value
-                low &= ~cbit
-                free ^= cbit
-                lost = plane[value] & peers[cell] & free
-                plane[value] ^= lost
-                stack.append((cell, mask ^ bit, lost))
-                touched = 0
-                while lost:
-                    pbit = lost & -lost
-                    lost ^= pbit
-                    peer = pbit.bit_length() - 1
-                    m = cand[peer] ^ bit
-                    cand[peer] = m
-                    touched |= group_bits[peer]
-                    if not m & (m - 1):
-                        low |= pbit
-                # v is no longer missing from the cell's groups, and each of
-                # its other candidates lost a place in each of them.
-                own = group_bits[cell]
-                sv[value] = (sv[value] | touched) & ~own
-                others = cand[cell] ^ bit
-                while others:
-                    wbit = others & -others
-                    others ^= wbit
-                    sv[wbit.bit_length() - 1] |= own
+                if mask:
+                    break
+            else:
                 break
-            values[cell] = 0
-        else:
-            break
+        # Place the lowest value left at the cell.
+        cbit = 1 << cell
+        bit = mask & -mask
+        value = bit.bit_length() - 1
+        nodes += 1
+        values[cell] = value
+        low &= ~cbit
+        free ^= cbit
+        lost = plane[value] & peers[cell] & free
+        plane[value] ^= lost
+        stack.append((cell, mask ^ bit, lost))
+        touched = 0
+        while lost:
+            pbit = lost & -lost
+            lost ^= pbit
+            peer = pbit.bit_length() - 1
+            m = cand[peer] ^ bit
+            cand[peer] = m
+            touched |= group_bits[peer]
+            if not m & (m - 1):
+                low |= pbit
+                dead = dead or not m
+        # v is no longer missing from the cell's groups, and each of its
+        # other candidates lost a place in each of them.
+        own = group_bits[cell]
+        sv[value] = (sv[value] | touched) & ~own
+        others = cand[cell] ^ bit
+        while others:
+            wbit = others & -others
+            others ^= wbit
+            sv[wbit.bit_length() - 1] |= own
     # The loop ends at the cap or, exhausted, when the stack empties short of it.
     return SolveOutcome(solutions, nodes, len(solutions) != cap)
 

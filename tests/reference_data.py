@@ -13,7 +13,10 @@ route to its node count and solution order, and ``reference_rank`` a
 second route to ``rank_of_difference_matrix``.  ``reference_search``
 decides a group by recounting its cells' candidate masks, where ``solve``
 reads the group's value planes, so the two reach each dead end and hidden
-single by different routes.
+single by different routes.  It finds a dead cell by recounting every
+free cell's candidates, where ``solve`` keeps a flag, and finds places
+locked in another group from the groups their first two cells share,
+where ``solve`` keeps a table of the groups sharing two or more cells.
 """
 
 A9_DENSE = (
@@ -177,16 +180,25 @@ def exact_cover_solutions(n, groups, givens=()):
 
 def reference_search(spec, cap=None):
     """``(solutions, nodes, exhausted)`` of ``solve``'s search, recounting at
-    every node what ``solve`` reads off its ``low`` cell mask, its value
-    planes and its stale (group, value) marks.
+    every node what ``solve`` reads off its ``low`` cell mask, its ``dead``
+    flag and its stale (group, value) marks.
 
-    Its loop is the search as it was before those, on a trail: the MRV
-    scan over every free cell at every node, stopping at a count of 0 or 1,
-    and the hidden-single / dead-place pass over every distinct group with
-    a missing value.  It builds the distinct groups from the spec's
-    permutations itself and returns the grids as tuples, uncertified;
-    givens that repeat a value in a group give no solutions, no nodes and
-    ``exhausted``.
+    At every node it recounts every free cell's candidates: a cell with
+    none is a dead end, and the lowest cell with one is placed.  Failing
+    both, it walks every pair of a group and a value missing there, values
+    ascending, then groups ascending.  A pair with fewer than two places
+    stops the walk at its group, and later values walk only the groups
+    before it.  When a pair's places all lie in another group, the value
+    leaves that group's other cells, and their groups are walked again.
+    The stop group is decided by recounting its cells' masks; without one,
+    a cell the walk left dead or with one candidate comes next, and then
+    the free cell with the fewest candidates.  It finds that other group
+    from the groups its first two places share, not from a table of groups
+    sharing cells, and undoes every candidate it clears, by placing or by
+    the walk, from one trail.  It builds the distinct groups from the
+    spec's permutations itself and returns the grids as tuples,
+    uncertified; givens that repeat a value in a group give no solutions,
+    no nodes and ``exhausted``.
     """
     n = spec.n
     total = n * n
@@ -201,90 +213,114 @@ def reference_search(spec, cap=None):
     values = [0] * total
     for cell, value in spec.givens:
         values[cell - 1] = value
-    cell_groups = [[] for _ in range(total)]
+    cell_groups = [set() for _ in range(total)]
     used = [0] * len(groups)  # bitmask of values present per group
     for gid, group in enumerate(groups):
         for cell in group:
-            cell_groups[cell].append(gid)
+            cell_groups[cell].add(gid)
             value = values[cell]
             if not value:
                 continue
             if used[gid] >> value & 1:
                 return [], 0, True
             used[gid] |= 1 << value
+    cells_of = [sum(1 << cell for cell in group) for group in groups]
 
     solutions, nodes = [], 0
-    unassigned = [i for i in range(total) if values[i] == 0]
     cand = [0] * total  # candidate mask per free cell, 0 for a filled one
-    for i in unassigned:
-        mask = full
-        for gid in cell_groups[i]:
-            mask &= ~used[gid]
-        cand[i] = mask
-    trail = []  # cells whose candidate bit a placement cleared
-    # (cell, values still to try there, its mask before placing, trail mark)
-    stack = []
+    for i in range(total):
+        if not values[i]:
+            cand[i] = full
+            for gid in cell_groups[i]:
+                cand[i] &= ~used[gid]
+    # places[v], bit i: cand[i] holds v
+    places = [sum(1 << i for i in range(total) if cand[i] >> v & 1) for v in range(n + 1)]
+    trail = []  # (cell, value bit) for each candidate cleared since the search began
+
+    def clear(cell, bit):
+        cand[cell] ^= bit
+        places[bit.bit_length() - 1] ^= 1 << cell
+        trail.append((cell, bit))
+
+    stack = []  # (cell, values still to try, trail mark)
     while True:
-        # Most-constrained free cell, lowest index on ties; stop at a count <= 1.
-        best, best_count = None, n + 1
-        for i in unassigned:
-            if values[i]:
-                continue
-            count = cand[i].bit_count()
-            if count < best_count:
-                best, best_count = i, count
-                if count <= 1:
-                    break
-        if best is None:
+        free = [i for i in range(total) if not values[i]]
+        stop = None
+        if free and all(cand[i].bit_count() >= 2 for i in free):
+            below = len(groups)  # the walk stops short of the stop group
+            for v in range(1, n + 1):
+                bit = 1 << v
+                todo = sum(1 << g for g in range(below) if not used[g] & bit)
+                while todo:
+                    g = (todo & -todo).bit_length() - 1
+                    todo ^= 1 << g
+                    here = places[v] & cells_of[g]
+                    if here.bit_count() < 2:
+                        stop = below = g
+                        break
+                    # v goes in one of these cells, so any other group
+                    # holding all of them gets its v there too.
+                    first = (here & -here).bit_length() - 1
+                    rest = here & (here - 1)
+                    second = (rest & -rest).bit_length() - 1
+                    lost = 0
+                    for h in cell_groups[first] & cell_groups[second] - {g}:
+                        if not here & ~cells_of[h]:
+                            lost |= places[v] & cells_of[h] & ~here
+                    while lost:
+                        c = (lost & -lost).bit_length() - 1
+                        lost &= lost - 1
+                        clear(c, bit)
+                        todo |= sum(1 << h for h in cell_groups[c] if h < below)
+        counts = [cand[i].bit_count() for i in free]
+        if stop is not None:
+            # Values one / two or more free cells of the stop group can take.
+            ones = twos = 0
+            for cell in groups[stop]:
+                m = cand[cell]
+                twos |= ones & m
+                ones |= m
+            missing = full & ~used[stop]
+            if not missing & ~ones:
+                single = missing & ~twos
+                best = next(c for c in groups[stop] if cand[c] & single & -single)
+                stack.append((best, single & -single, len(trail)))
+        elif 0 in counts:
+            pass
+        elif not free:
             solutions.append(tuple(values))
             if cap is not None and len(solutions) >= cap:
                 return solutions, nodes, False
         else:
-            best_mask = cand[best]
-            if best_count >= 2:
-                for gid, group in enumerate(groups):
-                    missing = full & ~used[gid]
-                    if not missing:
-                        continue
-                    ones = twos = 0  # values one / two or more cells can take
-                    for cell in group:
-                        m = cand[cell]
-                        twos |= ones & m
-                        ones |= m
-                    if missing & ~ones:
-                        best_mask = 0
-                        break
-                    single = missing & ~twos
-                    if single:
-                        best_mask = single & -single
-                        best = next(c for c in group if cand[c] & best_mask)
-                        break
-            stack.append((best, best_mask, cand[best], len(trail)))
+            # The lowest cell with one candidate, else the lowest with fewest.
+            best = free[counts.index(min(counts))]
+            stack.append((best, cand[best], len(trail)))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:
-            cell, mask, saved, mark = stack.pop()
+            cell, mask, mark = stack.pop()
             if values[cell]:
-                bit = 1 << values[cell]
                 for gid in cell_groups[cell]:
-                    used[gid] &= ~bit
-                for peer in trail[mark:]:
-                    cand[peer] |= bit
-                del trail[mark:]
+                    used[gid] &= ~(1 << values[cell])
+                values[cell] = 0
+            for peer, bit in trail[mark:]:
+                cand[peer] |= bit
+                places[bit.bit_length() - 1] |= 1 << peer
+            del trail[mark:]
             if mask:
                 bit = mask & -mask
                 nodes += 1
                 values[cell] = bit.bit_length() - 1
-                cand[cell] = 0
+                own = cand[cell]  # cleared too, so the trail restores it
+                while own:
+                    clear(cell, own & -own)
+                    own &= own - 1
                 for gid in cell_groups[cell]:
                     used[gid] |= bit
                     for peer in groups[gid]:
                         if cand[peer] & bit:
-                            cand[peer] ^= bit
-                            trail.append(peer)
-                stack.append((cell, mask ^ bit, saved, mark))
+                            clear(peer, bit)
+                stack.append((cell, mask ^ bit, mark))
                 break
-            values[cell] = 0
-            cand[cell] = saved
         else:
             return solutions, nodes, True
 

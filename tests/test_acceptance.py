@@ -10,6 +10,7 @@ import hashlib
 import math
 import random
 import time
+from itertools import combinations
 from itertools import permutations as iter_permutations
 
 import pytest
@@ -49,6 +50,7 @@ from reference_data import (
     X9,
     X9_COLUMN_SUMS,
     X9_SIGNS,
+    exact_cover_solutions,
     reference_search,
 )
 
@@ -65,6 +67,10 @@ SUDOKU_9X9_FIXTURES = [
     "1....7.9." ".3..2...8" "..96..5.." "..53..9.." ".1..8...2"
     "6....4..." "3......1." ".4......7" "..7...3..",
 ]
+
+# Arto Inkala's puzzle and its unique solution, as bench/corpus.py stores them.
+INKALA = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
+INKALA_SOLUTION = "812753649943682175675491283154237896369845721287169534521974368438526917796318452"
 
 # Fitted gerechte 9x9 puzzles, 66 cells blank: rows of region labels 1-9
 # and the givens.  Each value's nine cells in a shuffled cyclic Latin square
@@ -358,13 +364,10 @@ def test_search_nodes_and_order_are_pinned():
         # bench/ still passes selfcheck; it must stay accepted and ignored.
         assert solve(spec, cap=2, selfcheck=False) == outcome
         nodes.append(outcome.nodes_explored)
-    assert nodes == [51, 49, 51, 51, 1712]
-    # Arto Inkala's puzzle and its unique solution, as bench/corpus.py stores them.
-    inkala = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
-    inkala_solution = "812753649943682175675491283154237896369845721287169534521974368438526917796318452"
-    outcome = solve(make_classic_spec(9, parse_dot_string(inkala).givens()), cap=2)
-    assert outcome.exhausted and outcome.nodes_explored == 3757
-    assert [s.cells for s in outcome.solutions] == [tuple(map(int, inkala_solution))]
+    assert nodes == [51, 49, 51, 51, 1386]
+    outcome = solve(make_classic_spec(9, parse_dot_string(INKALA).givens()), cap=2)
+    assert outcome.exhausted and outcome.nodes_explored == 1135
+    assert [s.cells for s in outcome.solutions] == [tuple(map(int, INKALA_SOLUTION))]
     pinned = (
         (
             make_latin_spec(4),
@@ -382,17 +385,17 @@ def test_search_nodes_and_order_are_pinned():
         ),
         (
             gerechte_9x9_spec(*GERECHTE_9X9_FIXTURES[0]),
-            1586,
+            1084,
             2,
             tuple(map(int, "928647315564139782687492531396514827835721694472968153751283469213875946149356278")),
             tuple(map(int, "928647513364159782687492351596314827853721694472968135731285469215873946149536278")),
         ),
         (
             gerechte_9x9_spec(*GERECHTE_9X9_FIXTURES[1]),
-            3193,
+            359,
             4,
             tuple(map(int, "745321968621834597819245673356419782173968245934782156582673419297156834468597321")),
-            tuple(map(int, "745621938321864597819245376653419782176938245964782153582376419297153864438597621")),
+            tuple(map(int, "745621938321864597869245173653419782176938245914782356582376419297153864438597621")),
         ),
     )
     for spec, node_count, count, first, last in pinned:
@@ -410,7 +413,7 @@ def test_search_nodes_and_order_are_pinned():
     # One solution of an empty grid: deep searches whose candidate masks are
     # cleared and restored at every placement and undo.
     for spec, node_count, last_row in (
-        (make_classic_spec(16), 260, (16, 9, 2, 7, 15, 1, 6, 14, 4, 8, 13, 11, 12, 5, 10, 3)),
+        (make_classic_spec(16), 256, (16, 9, 2, 7, 15, 1, 6, 14, 4, 8, 13, 11, 12, 5, 10, 3)),
         (
             make_latin_spec(20),
             400,
@@ -442,7 +445,7 @@ def test_empty_grid_searches_are_pinned():
     # reference search, which recounts every group at every node.
     for spec, node_count, digest in (
         (make_latin_spec(20), 400, "d31245f3b0345488"),
-        (make_classic_spec(16), 260, "bee0e2fbbb520ffe"),
+        (make_classic_spec(16), 256, "bee0e2fbbb520ffe"),
         (make_classic_spec(25), 628, "e53a79bc63806bbd"),
     ):
         outcome = solve(spec, cap=1)
@@ -453,9 +456,27 @@ def test_empty_grid_searches_are_pinned():
 
 
 def test_a_dead_place_in_a_group_whose_first_cell_is_given():
-    # Regions fitted to a 6x6 Latin square.  Mid-search, after a branch, a
+    # Regions fitted to a 6x6 Latin square.  After the branch on cell 1, a
     # value has no place left in row 4, whose first cell (19) is given; the
     # search backtracks from there and still finds the one solution.
+    regions = (
+        (18, 23, 25, 26, 30, 32), (1, 4, 5, 9, 10, 19), (2, 3, 15, 24, 27, 35),
+        (13, 17, 28, 31, 33, 34), (8, 11, 14, 16, 20, 22), (6, 7, 12, 21, 29, 36),
+    )
+    givens = ((7, 6), (9, 4), (13, 3), (14, 2), (19, 5), (31, 4))
+    spec = make_gerechte_spec(Partition(6, regions), givens)
+    outcome = solve(spec)
+    assert (outcome.nodes_explored, len(outcome.solutions), outcome.exhausted) == (36, 1, True)
+    assert reference_search(spec) == ([s.cells for s in outcome.solutions], 36, True)
+
+
+def test_places_locked_in_a_region_leave_its_other_cells():
+    # Regions fitted to a 6x6 Latin square, 29 cells free.  At the root, 2
+    # can go in row 4 only at cells 20-23: 19 holds 5, and 24 shares column
+    # 6 with the 2 at 12.  Region 1 holds all four, so its 2 is in row 4 and
+    # 2 leaves the region's other free cell, 3.  With three more such steps
+    # every placement is forced: 29 nodes and no branch, where the search
+    # without locked places takes 31.
     regions = (
         (3, 11, 20, 21, 22, 23), (2, 8, 18, 26, 30, 31), (1, 16, 19, 24, 35, 36),
         (6, 7, 12, 14, 17, 27), (5, 9, 13, 25, 32, 33), (4, 10, 15, 28, 29, 34),
@@ -463,8 +484,15 @@ def test_a_dead_place_in_a_group_whose_first_cell_is_given():
     givens = ((4, 5), (5, 6), (6, 4), (12, 2), (19, 5), (30, 3), (33, 3))
     spec = make_gerechte_spec(Partition(6, regions), givens)
     outcome = solve(spec)
-    assert (outcome.nodes_explored, len(outcome.solutions), outcome.exhausted) == (31, 1, True)
-    assert reference_search(spec) == ([s.cells for s in outcome.solutions], 31, True)
+    assert (outcome.nodes_explored, len(outcome.solutions), outcome.exhausted) == (29, 1, True)
+    assert reference_search(spec) == ([s.cells for s in outcome.solutions], 29, True)
+    rows = [list(range(r * 6 + 1, r * 6 + 7)) for r in range(6)]
+    cols = [list(range(c + 1, 37, 6)) for c in range(6)]
+    groups = rows + cols + [list(region) for region in regions]
+    assert exact_cover_solutions(6, groups, givens) == [outcome.solutions[0].cells]
+    # Rows and columns share one cell, so places never lock in a Latin spec.
+    latin = [set(group) for group in make_latin_spec(6).distinct_groups]
+    assert all(len(a & b) < 2 for a, b in combinations(latin, 2))
 
 
 def test_criterion_9_negative_suite(capsys):

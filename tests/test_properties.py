@@ -62,7 +62,7 @@ from gensudoku import (
 )
 from gensudoku.cli import run_cli
 from reference_data import REGION3_GROUPS, X3, exact_cover_solutions, reference_search
-from test_acceptance import count_grids_by_row_product
+from test_acceptance import INKALA, SUDOKU_9X9_FIXTURES, count_grids_by_row_product
 
 # Characters that build headers, grids and region lines, plus digits that
 # are not ASCII: "²" is a digit int() rejects, "٣" a decimal digit it reads.
@@ -337,8 +337,8 @@ def test_fitted_gerechte_9x9_solutions_match_the_exact_cover_oracle():
 
 @st.composite
 def search_problem(draw):
-    """A classic 4x4, 9x9 or 16x16, Latin 4x4 to 12x12, fitted gerechte 9x9
-    or raw 4x4 to 6x6 problem, and a cap.
+    """A classic 4x4, 9x9 or 16x16, Latin 4x4 to 12x12, fitted gerechte 9x9,
+    raw 4x4 to 6x6 or hard 9x9 problem, and a cap.
 
     A raw problem is a ProblemSpec of rows, columns and a Permutation that
     deals each value's cells of a Latin square one to each group, listing
@@ -346,17 +346,34 @@ def search_problem(draw):
     search with few givens took up to two million nodes.)  The givens are
     read from a grid that solves the problem (a shuffled pattern Sudoku
     grid, a shuffled cyclic Latin square, or the fitted square), at any
-    number of drawn cells, for 16x16 at most 48 or at least 128; in a
-    quarter of the draws one of them is changed to any value, which may
-    leave no solution or repeat a value in a group.  4x4 problems are
-    enumerated in full, larger ones stop at a cap of 1 to 3 solutions.
+    number of drawn cells, for 16x16 at most 48 or at least 128.  A hard
+    problem is Inkala's puzzle or the fifth 9x9 fixture with its bands,
+    stacks, the rows and columns within them and its values shuffled, maybe
+    transposed, less up to three givens.  Its search branches and
+    backtracks through tens to thousands of nodes, so it reaches stop
+    groups with a dead value beside a hidden single, and with two hidden
+    singles, which the other draws rarely do.  In a quarter of the draws
+    one given is changed to any value, which may leave no solution or
+    repeat a value in a group.  4x4 problems are enumerated in full, larger
+    ones stop at a cap of 1 to 3 solutions.  Outside the 16x16 band left
+    out, an example took at most about 2 s over 20,000 drawn; inside it,
+    draws with 59, 65 and 83 givens ran ``solve`` for 12 s to over 100 s.
     """
-    kind = draw(st.sampled_from(("classic", "latin", "gerechte", "raw")))
+    kind = draw(st.sampled_from(("classic", "latin", "gerechte", "raw", "hard")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if kind == "gerechte":
         _, regions, givens, _ = draw(fitted_gerechte_9x9())
         n, make = 9, lambda _, g: make_gerechte_spec(Partition(9, regions), g)
+    elif kind == "hard":
+        puzzle = parse_dot_string(rng.choice((INKALA, SUDOKU_9X9_FIXTURES[4]))).cells
+        rows, cols, flip = band_order(rng), band_order(rng), rng.random() < 0.5
+        digits = [0] + rng.sample(range(1, 10), 9)
+        n, make = 9, make_classic_spec
+        cells = [digits[puzzle[9 * c + r if flip else 9 * r + c]] for r in rows for c in cols]
+        givens = [(i + 1, v) for i, v in enumerate(cells) if v]
+        for _ in range(draw(st.integers(0, 3))):
+            givens.pop(rng.randrange(len(givens)))
     else:
-        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         if kind == "classic":
             m = draw(st.sampled_from((2, 3, 4)))
             n, make = m * m, make_classic_spec
@@ -381,7 +398,7 @@ def search_problem(draw):
             make = lambda n, g: ProblemSpec(
                 n, (identity_permutation(n), transpose_permutation(n), third), g
             )
-        # Between 64 and 127 givens a 16x16 search can take seconds.
+        # Between 49 and 127 givens a 16x16 search can take seconds.
         counts = st.integers(0, 48) | st.integers(128, 256) if n == 16 else st.integers(0, n * n)
         cells = rng.sample(range(1, n * n + 1), n * n)
         givens = [(c, square[c - 1]) for c in cells[: draw(counts)]]
@@ -394,9 +411,10 @@ def search_problem(draw):
 @settings(max_examples=150, deadline=None)
 @given(search_problem())
 def test_search_nodes_and_order_match_the_reference_search(problem):
-    # The low mask and the stale (group, value) marks only skip work: every
-    # node, in order, and every solution, in order, stay those of the
-    # search that recounts.
+    # The low mask, the dead flag, the stale (group, value) marks and the
+    # table of groups sharing two cells only skip work: every node, in
+    # order, and every solution, in order, stay those of the search that
+    # recounts.
     spec, cap = problem
     outcome = solve(spec, cap=cap)
     solutions, nodes, exhausted = reference_search(spec, cap)
