@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .condition import NecessityReport, check_necessary
 from .errors import GenSudokuError, PuzzleFormatError
@@ -80,7 +79,9 @@ def _print_outcome(outcome: SolveOutcome, fmt: str) -> int:
     for line in outcome.diagnostics:
         print(line, file=sys.stderr)
     if fmt == "json":
-        print(json.dumps(asdict(outcome)))
+        # A result dataclass holds only its fields in __dict__, so
+        # default=vars prints asdict's bytes without the deep copy.
+        print(json.dumps(outcome, default=vars))
     else:
         for k, sol in enumerate(outcome.solutions, start=1):
             print(f"solution {k}")
@@ -135,7 +136,7 @@ def _cmd_verify(args) -> int:
     problem, solution = _load_solution(args)
     result = verify_solution(problem, solution)
     if args.format == "json":
-        print(json.dumps(asdict(result)))
+        print(json.dumps(result, default=vars))
     elif result.ok:
         print("OK")
     else:
@@ -147,7 +148,7 @@ def _cmd_check(args) -> int:
     problem, solution = _load_solution(args)
     reports = check_necessary(problem, solution)
     if args.format == "json":
-        print(json.dumps([asdict(r) for r in reports]))
+        print(json.dumps(reports, default=vars))
     else:
         for report in reports:
             print(_report_line(report))

@@ -1,8 +1,19 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
+import gensudoku.cli
 import gensudoku.problems
+from gensudoku import (
+    Assignment,
+    brute_force,
+    check_necessary,
+    load_problem,
+    load_puzzle,
+    solve,
+    verify_solution,
+)
 from gensudoku.cli import run_cli
 from reference_data import A9_DENSE
 
@@ -232,6 +243,88 @@ class TestOracleCommand:
         puzzle = write(tmp_path, "p.txt", "n 4\n" + "\n".join(["0 0 0 0"] * 4))
         assert run_cli(["oracle", puzzle]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestJsonBytes:
+    """``--format json`` prints exactly ``json.dumps(asdict(result))``.
+
+    ``asdict`` is the oracle here only.  A range fault and a first
+    violation need a cell outside 1..n, which no solution file can hold,
+    so those results are handed to the CLI through the call it makes.
+    """
+
+    @pytest.mark.parametrize(
+        "puzzle,cap,code,diagnosed",
+        [
+            (LATIN3_PUZZLE, "3", 0, False),
+            ("n 3\n1 1 0\n0 0 0\n0 0 0\n", None, 1, True),
+            ("n 2\n1 0\n0 2\n", None, 1, False),
+        ],
+        ids=["solutions", "givens-conflict", "no-solution"],
+    )
+    def test_solve(self, tmp_path, capsys, puzzle, cap, code, diagnosed):
+        path = write(tmp_path, "p.txt", puzzle)
+        limit = [] if cap is None else ["--cap", cap]
+        assert run_cli(["solve", path, *limit, "--format", "json"]) == code
+        outcome = solve(load_problem(path), cap=None if cap is None else int(cap))
+        assert capsys.readouterr().out == json.dumps(asdict(outcome)) + "\n"
+        assert bool(outcome.diagnostics) is diagnosed
+
+    @pytest.mark.parametrize(
+        "puzzle", [LATIN2_PUZZLE, "n 2\n1 0\n1 0\n"], ids=["solutions", "no-solution"]
+    )
+    def test_oracle(self, tmp_path, capsys, puzzle):
+        path = write(tmp_path, "p.txt", puzzle)
+        outcome = brute_force(load_problem(path))
+        code = 0 if outcome.solutions else 1
+        assert run_cli(["oracle", path, "--format", "json"]) == code
+        assert capsys.readouterr().out == json.dumps(asdict(outcome)) + "\n"
+
+    @pytest.mark.parametrize(
+        "puzzle,solution,clause",
+        [
+            (LATIN3_PUZZLE, LATIN3_SOLVED, None),
+            (LATIN3_PUZZLE, LATIN3_SOLVED, "range"),
+            (LATIN3_PUZZLE, "n 3\n2 1 3\n3 2 1\n1 3 3\n", "constraint"),
+            ("n 3\n1 0 0\n0 0 0\n0 0 0\n", LATIN3_SOLVED, "given"),
+        ],
+        ids=["ok", "range", "constraint", "given"],
+    )
+    def test_verify(self, tmp_path, capsys, monkeypatch, puzzle, solution, clause):
+        path = write(tmp_path, "p.txt", puzzle)
+        solved = write(tmp_path, "s.txt", solution)
+        cells = load_puzzle(solved).assignment().cells
+        if clause == "range":
+            cells = (4,) + cells[1:]
+        result = verify_solution(load_problem(path), Assignment(3, cells))
+        assert result.clause == clause
+        if clause == "range":
+            monkeypatch.setattr(gensudoku.cli, "verify_solution", lambda p, x: result)
+        code = 0 if result.ok else 1
+        assert run_cli(["verify", path, solved, "--format", "json"]) == code
+        assert capsys.readouterr().out == json.dumps(asdict(result)) + "\n"
+
+    @pytest.mark.parametrize(
+        "solution,shift,field",
+        [
+            (LATIN3_SOLVED, 0, "holds"),
+            (LATIN3_SOLVED, -1, "first_violation"),
+            ("n 3\n1 1 1\n1 1 1\n1 1 1\n", 0, "zero_rows"),
+        ],
+        ids=["holds", "first_violation", "zero_rows"],
+    )
+    def test_check(self, tmp_path, capsys, monkeypatch, solution, shift, field):
+        path = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        solved = write(tmp_path, "s.txt", solution)
+        # Values 0..2 are distinct per group, so each reconstructs to 1..3.
+        cells = tuple(v + shift for v in load_puzzle(solved).assignment().cells)
+        reports = check_necessary(load_problem(path), Assignment(3, cells))
+        assert all(getattr(r, field) for r in reports)
+        if shift:
+            monkeypatch.setattr(gensudoku.cli, "check_necessary", lambda p, x: reports)
+        code = 0 if all(r.holds for r in reports) else 1
+        assert run_cli(["check", path, solved, "--format", "json"]) == code
+        assert capsys.readouterr().out == json.dumps([asdict(r) for r in reports]) + "\n"
 
 
 class TestErrors:

@@ -380,6 +380,18 @@ class TestSolve:
         assert outcome.nodes_explored == 0
         assert outcome.solutions == []
 
+    def test_first_givens_conflict_in_constraint_order(self):
+        # Column 1 and box 1 (cells 1, 5) repeat 3 at lower cells than row 4
+        # does, but rows come first.  Row 4 holds 1 2 2 1: its first repeat
+        # in cell order is cell 15, of cell 14's 2, not cell 16's 1.
+        givens = ((1, 3), (5, 3), (13, 1), (14, 2), (15, 2), (16, 1))
+        outcome = solve(make_classic_spec(4, givens))
+        assert outcome.diagnostics == [
+            "givens conflict: cells 14 and 15 both hold 2 in one constraint group"
+        ]
+        assert outcome.solutions == [] and outcome.nodes_explored == 0
+        assert outcome.exhausted
+
     def test_search_depth_does_not_use_the_call_stack(self):
         # An empty Latin 16x16 has 256 free cells: a recursive search would
         # need one frame per placed cell, far beyond 100 above this frame.
@@ -502,3 +514,97 @@ class TestConstructors:
             assert str(info.value) == message
             assert isinstance(info.value, GenSudokuError)
             assert isinstance(info.value, ValueError)
+
+
+def _classic9_images():
+    """Rows, columns and boxes of the 9x9 grid, built without the library."""
+    rows = [r * 9 + c + 1 for r in range(9) for c in range(9)]
+    cols = [c * 9 + r + 1 for r in range(9) for c in range(9)]
+    boxes = [
+        (3 * (b // 3) + k // 3) * 9 + 3 * (b % 3) + k % 3 + 1
+        for b in range(9)
+        for k in range(9)
+    ]
+    return rows, cols, boxes
+
+
+def _gerechte4_solutions(latin4, regions, givens=()):
+    """The 4x4 Latin squares whose regions and givens hold, by filtering."""
+    return {
+        square
+        for square in latin4
+        if all(len({square[c - 1] for c in region}) == 4 for region in regions)
+        and all(square[cell - 1] == value for cell, value in givens)
+    }
+
+
+class TestSharedTables:
+    """Specs with equal constraints share one set of tables, read only."""
+
+    GRID9 = tuple((r * 3 + r // 3 + c) % 9 + 1 for r in range(9) for c in range(9))
+
+    def test_fresh_permutations_share_the_classic_tables(self):
+        blanks = set(random.Random(21).sample(range(81), 50))
+        givens = tuple(
+            (i + 1, v) for i, v in enumerate(self.GRID9) if i not in blanks
+        )
+        built = make_classic_spec(9, givens)
+        fresh = ProblemSpec(9, tuple(map(Permutation, _classic9_images())), givens)
+        assert fresh.constraints is not built.constraints
+        assert fresh.compiled_groups == built.compiled_groups
+        a, b = solve(built, cap=2), solve(fresh, cap=2)
+        assert [s.cells for s in a.solutions] == [s.cells for s in b.solutions]
+        assert (a.nodes_explored, a.exhausted) == (b.nodes_explored, b.exhausted)
+        assert self.GRID9 in {s.cells for s in a.solutions}
+
+    def test_interleaved_specs_keep_their_own_tables(self):
+        tilings = {
+            "gerechte-1": REGIONS4,
+            "gerechte-2": ((1, 2, 6, 7), (3, 4, 8, 12), (5, 9, 13, 14), (10, 11, 15, 16)),
+            "classic": ((1, 2, 5, 6), (3, 4, 7, 8), (9, 10, 13, 14), (11, 12, 15, 16)),
+        }
+
+        def build(name, givens=()):
+            if name == "classic":
+                return make_classic_spec(4, givens)
+            return make_gerechte_spec(Partition(4, tilings[name]), givens)
+
+        # Eight blanks in the first grid of each family keep brute_force small.
+        puzzles = {
+            name: tuple(enumerate(solve(build(name), cap=1).solutions[0].cells[8:], 9))
+            for name in tilings
+        }
+        _, latin4 = count_latin_squares(4)
+        first = {}
+        for name in [*tilings, *tilings]:
+            for givens in ((), puzzles[name]):
+                outcome = solve(build(name, givens))
+                run = ([s.cells for s in outcome.solutions], outcome.nodes_explored)
+                key = (name, givens)
+                if key not in first:
+                    first[key] = run
+                    expected = _gerechte4_solutions(latin4, tilings[name], givens)
+                    assert set(run[0]) == expected
+                    if givens:
+                        oracle = brute_force(build(name, givens)).solutions
+                        assert expected == {s.cells for s in oracle}
+                assert run == first[key]
+        assert _gerechte4_solutions(latin4, REGIONS4) != _gerechte4_solutions(
+            latin4, tilings["gerechte-2"]
+        )
+
+    def test_tables_are_tuples_shared_by_equal_constraints(self):
+        spec = make_latin_spec(5)
+        tables = gensudoku.problems._tables(spec.constraints)
+        assert gensudoku.problems._tables(make_latin_spec(5).constraints) is tables
+        assert spec.compiled_groups is tables.compiled_groups
+        assert spec.distinct_groups is tables.distinct_groups
+        assert isinstance(tables, tuple)
+        for name, table in tables._asdict().items():
+            if name != "span":
+                assert isinstance(table, tuple), name
+        assert all(type(groups) is tuple for groups in tables.compiled_groups)
+        assert all(type(group) is tuple for group in tables.distinct_groups)
+        # Latin's columns are listed twice and kept once, at constraint 2.
+        assert len(tables.distinct_groups) == 10
+        assert tables.first_place[5:] == tuple((1, b) for b in range(5))
