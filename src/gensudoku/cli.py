@@ -79,8 +79,6 @@ def _print_outcome(outcome: SolveOutcome, fmt: str) -> int:
     for line in outcome.diagnostics:
         print(line, file=sys.stderr)
     if fmt == "json":
-        # A result dataclass holds only its fields in __dict__, so
-        # default=vars prints asdict's bytes without the deep copy.
         print(json.dumps(outcome, default=vars))
     else:
         for k, sol in enumerate(outcome.solutions, start=1):

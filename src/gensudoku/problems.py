@@ -10,9 +10,8 @@ gerechte variants, and rows / columns / columns for Latin squares.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
@@ -99,9 +98,17 @@ class ProblemSpec:
 
         Cells are 0-based indices into ``Assignment.cells``; group b of a
         constraint is the cells its permutation sends block b's columns to.
-        Read from the tables shared by every spec with these constraints.
+        Built on first use and kept for the life of the spec, so every
+        check and search on the spec shares one copy.
         """
-        return _tables(self.constraints).compiled_groups
+        n = self.n
+        return tuple(
+            tuple(
+                tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
+                for b in range(n)
+            )
+            for perm in self.constraints
+        )
 
     def constraint_matrices(self) -> list[ConstraintMatrix]:
         return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
@@ -119,69 +126,10 @@ class ProblemSpec:
 
         A group two constraints list (Latin's columns) restricts nothing
         more and is kept once, at its first place.  The certificate and
-        ``solve`` read only this, from the shared tables.
+        ``solve`` read only this; ``solve`` builds its group and peer masks
+        from it in its own set-up sweep.
         """
-        return _tables(self.constraints).distinct_groups
-
-
-_Tables = namedtuple(
-    "_Tables",
-    "compiled_groups distinct_groups first_place gmask group_bits peers inter span",
-)
-
-
-@lru_cache(maxsize=32)
-def _tables(constraints: tuple[Permutation, ...]) -> _Tables:
-    """The tables a constraint set alone fixes, built once and shared as tuples.
-
-    Besides ``compiled_groups`` and ``distinct_groups``: per distinct group
-    its first (constraint, block), its cell mask (``gmask``) and the groups
-    sharing two or more cells with it (``inter``); per cell its group bits
-    and its ``peers``, the cells sharing a group with it (itself too, which
-    ``solve`` masks out with ``free``); and ``span``, the most cells two
-    groups share.
-    """
-    n = math.isqrt(constraints[0].size)
-    compiled = tuple(
-        tuple(
-            tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
-            for b in range(n)
-        )
-        for perm in constraints
-    )
-    first_place: dict[tuple[int, ...], tuple[int, int]] = {}
-    for k, group in enumerate(chain.from_iterable(compiled)):
-        first_place.setdefault(group, divmod(k, n))
-    groups = tuple(first_place)
-    gmask = [0] * len(groups)
-    group_bits = [0] * (n * n)
-    for gid, group in enumerate(groups):
-        for cell in group:
-            gmask[gid] |= 1 << cell
-            group_bits[cell] |= 1 << gid
-    peers = [0] * (n * n)
-    inter = [0] * len(groups)
-    for gid, group in enumerate(groups):
-        seen = twice = 0
-        for cell in group:
-            peers[cell] |= gmask[gid]
-            twice |= seen & group_bits[cell]
-            seen |= group_bits[cell]
-        inter[gid] = twice ^ 1 << gid  # n >= 2 cells put g itself in twice
-    # A (group, value) pair with at most span places is looked at closely:
-    # fewer than two end the pass, and more may lie in another group, which
-    # takes no more than the most cells two groups share.
-    span = max(
-        [
-            (gmask[g] & gmask[h]).bit_count()
-            for g, hs in enumerate(inter)
-            for h in range(g)
-            if hs >> h & 1
-        ],
-        default=1,
-    )
-    tables = map(tuple, (gmask, group_bits, peers, inter))
-    return _Tables(compiled, groups, tuple(first_place.values()), *tables, span)
+        return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
 
 
 @dataclass(frozen=True)
@@ -217,7 +165,8 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
     groups = problem.distinct_groups
     if fault < len(groups):
         group = groups[fault]
-        constraint, block = _tables(problem.constraints).first_place[fault]
+        every = list(chain.from_iterable(problem.compiled_groups))
+        constraint, block = divmod(every.index(group), n)
         zero_row = next(vanishing_rows([cells[c] for c in group], block))
         detail = f"constraint {constraint + 1}, row {zero_row}: zero difference"
         return VerificationResult(False, "constraint", detail)
@@ -297,29 +246,54 @@ def solve(
     n = problem.n
     total = n * n
     full = ((1 << n) - 1) << 1  # bits 1..n
-    _, groups, _, gmask, group_bits, peers, inter, span = _tables(problem.constraints)
+    groups = problem.distinct_groups
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # Take each group's given values from its cells' candidates, and stop
-    # at the first group, in constraint order, holding a value twice.
-    cand = [full] * total  # candidate mask per cell, kept while it is filled
-    for group in groups:
-        used = 0
+    # Mask each group's cells and each cell's groups, mark the givens'
+    # values per group, and stop at the first group, in constraint order,
+    # holding a value twice.
+    gmask = [0] * len(groups)
+    group_bits = [0] * total
+    used = [0] * len(groups)  # bitmask of values present per group
+    for gid, group in enumerate(groups):
         for cell in group:
+            gmask[gid] |= 1 << cell
+            group_bits[cell] |= 1 << gid
             value = values[cell]
             if not value:
                 continue
-            if used >> value & 1:
+            if used[gid] >> value & 1:
                 first = next(c for c in group if values[c] == value)
                 conflict = (
                     f"givens conflict: cells {first + 1} and {cell + 1} both "
                     f"hold {value} in one constraint group"
                 )
                 return SolveOutcome(exhausted=True, diagnostics=[conflict])
-            used |= 1 << value
+            used[gid] |= 1 << value
+    peers = [0] * total  # the cells sharing a group with cell i, i left out
+    cand = [full] * total  # candidate mask per cell, kept while it is filled
+    inter = [0] * len(groups)  # the groups sharing two or more cells with g
+    for gid, group in enumerate(groups):
+        seen = twice = 0
         for cell in group:
-            cand[cell] &= ~used
+            peers[cell] |= gmask[gid]
+            cand[cell] &= ~used[gid]
+            twice |= seen & group_bits[cell]
+            seen |= group_bits[cell]
+        inter[gid] = twice ^ 1 << gid  # n >= 2 cells put g itself in twice
+    # A (group, value) pair with at most span places is looked at closely:
+    # fewer than two end the pass, and more may lie in another group, which
+    # takes no more than the most cells two groups share.
+    span = max(
+        [
+            (gmask[g] & gmask[h]).bit_count()
+            for g, hs in enumerate(inter)
+            for h in range(g)
+            if hs >> h & 1
+        ],
+        default=1,
+    )
     blocked = [0] * (n + 1)  # cells that share a group with a given v
     every = (1 << len(groups)) - 1
     sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
@@ -327,6 +301,7 @@ def solve(
     free = low = 0  # bit i: cell i is free / free with at most one candidate
     dead = False  # some free cell has no candidate
     for i, value in enumerate(values):
+        peers[i] ^= 1 << i
         if value:
             blocked[value] |= peers[i]
             sv[value] &= ~group_bits[i]

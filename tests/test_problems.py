@@ -538,12 +538,12 @@ def _gerechte4_solutions(latin4, regions, givens=()):
     }
 
 
-class TestSharedTables:
-    """Specs with equal constraints share one set of tables, read only."""
+class TestEqualConstraints:
+    """Specs search alike when their constraints are equal, and only then."""
 
     GRID9 = tuple((r * 3 + r // 3 + c) % 9 + 1 for r in range(9) for c in range(9))
 
-    def test_fresh_permutations_share_the_classic_tables(self):
+    def test_fresh_permutations_give_the_classic_groups_and_search(self):
         blanks = set(random.Random(21).sample(range(81), 50))
         givens = tuple(
             (i + 1, v) for i, v in enumerate(self.GRID9) if i not in blanks
@@ -557,7 +557,7 @@ class TestSharedTables:
         assert (a.nodes_explored, a.exhausted) == (b.nodes_explored, b.exhausted)
         assert self.GRID9 in {s.cells for s in a.solutions}
 
-    def test_interleaved_specs_keep_their_own_tables(self):
+    def test_interleaved_specs_keep_their_own_searches(self):
         tilings = {
             "gerechte-1": REGIONS4,
             "gerechte-2": ((1, 2, 6, 7), (3, 4, 8, 12), (5, 9, 13, 14), (10, 11, 15, 16)),
@@ -592,19 +592,3 @@ class TestSharedTables:
         assert _gerechte4_solutions(latin4, REGIONS4) != _gerechte4_solutions(
             latin4, tilings["gerechte-2"]
         )
-
-    def test_tables_are_tuples_shared_by_equal_constraints(self):
-        spec = make_latin_spec(5)
-        tables = gensudoku.problems._tables(spec.constraints)
-        assert gensudoku.problems._tables(make_latin_spec(5).constraints) is tables
-        assert spec.compiled_groups is tables.compiled_groups
-        assert spec.distinct_groups is tables.distinct_groups
-        assert isinstance(tables, tuple)
-        for name, table in tables._asdict().items():
-            if name != "span":
-                assert isinstance(table, tuple), name
-        assert all(type(groups) is tuple for groups in tables.compiled_groups)
-        assert all(type(group) is tuple for group in tables.distinct_groups)
-        # Latin's columns are listed twice and kept once, at constraint 2.
-        assert len(tables.distinct_groups) == 10
-        assert tables.first_place[5:] == tuple((1, b) for b in range(5))
