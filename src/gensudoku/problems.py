@@ -226,7 +226,11 @@ def solve(
     lie in another group h, the pass takes v from h's other cells at once
     (locked places), which may leave a cell with one candidate or none.
     Failing all of these, the free cell with the fewest candidates, lowest
-    index on ties, is branched on, values ascending.  Per value, a bit
+    index on ties, is branched on, values ascending.  It is read off
+    ``n.bit_length()`` bit slices of the free cells' candidate counts, from
+    the top slice down; the slices are brought up to date only there, by a
+    bit-sliced decrement per frame pushed since the last branch node, and a
+    backtrack takes back the slices its branch node saw.  Per value, a bit
     plane holds the free cells that can take it, so a (group, value) place
     count is one AND, and only pairs whose places changed since they last
     had two or more are counted.  The search stops at the cap or when its
@@ -274,6 +278,10 @@ def solve(
     peers = [0] * total  # the cells sharing a group with cell i, i left out
     cand = [full] * total  # candidate mask per cell, kept while it is filled
     inter = [0] * len(groups)  # the groups sharing two or more cells with g
+    # A (group, value) pair with at most span places is looked at closely:
+    # fewer than two end the pass, and more may lie in another group, which
+    # takes no more than the most cells two groups share.
+    span = 1
     for gid, group in enumerate(groups):
         seen = twice = 0
         for cell in group:
@@ -282,36 +290,35 @@ def solve(
             twice |= seen & group_bits[cell]
             seen |= group_bits[cell]
         inter[gid] = twice ^ 1 << gid  # n >= 2 cells put g itself in twice
-    # A (group, value) pair with at most span places is looked at closely:
-    # fewer than two end the pass, and more may lie in another group, which
-    # takes no more than the most cells two groups share.
-    span = max(
-        [
-            (gmask[g] & gmask[h]).bit_count()
-            for g, hs in enumerate(inter)
-            for h in range(g)
-            if hs >> h & 1
-        ],
-        default=1,
-    )
+        twice &= (1 << gid) - 1
+        while twice:
+            h = twice.bit_length() - 1
+            twice ^= 1 << h
+            if (shared := (gmask[gid] & gmask[h]).bit_count()) > span:
+                span = shared
     blocked = [0] * (n + 1)  # cells that share a group with a given v
     every = (1 << len(groups)) - 1
     sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
-    unassigned = []
-    free = low = 0  # bit i: cell i is free / free with at most one candidate
-    dead = False  # some free cell has no candidate
+    by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
+    free = 0
     for i, value in enumerate(values):
         peers[i] ^= 1 << i
         if value:
             blocked[value] |= peers[i]
             sv[value] &= ~group_bits[i]
         else:
-            unassigned.append(i)
             free |= 1 << i
-            if not cand[i] & (cand[i] - 1):
-                low |= 1 << i
-                dead = dead or not cand[i]
+            by_count[cand[i].bit_count()] |= 1 << i
     plane = [free & ~cells for cells in blocked]  # bit i: free cell i can take v
+    low = by_count[0] | by_count[1]  # bit i: free cell i has at most one candidate
+    dead = by_count[0] != 0  # some free cell has no candidate
+    # Bit i of slices[b] is bit b of free cell i's candidate count as of
+    # stack[:synced]; saved[d] holds the slices the branch node whose frame
+    # is stack[d] saw.  The masks of by_count are disjoint, so a sum is an OR.
+    bits = range(n.bit_length())
+    slices = [sum(m for k, m in enumerate(by_count) if k >> b & 1) for b in bits]
+    saved = {}
+    synced = 0
     # (cell, values still to try there, the peers its value was cleared
     # from), or (~v, 0, the cells a locked step took v from)
     stack: list[tuple[int, int, int]] = []
@@ -403,11 +410,24 @@ def solve(
                 break
             mask = 0
         else:
-            # Every free cell has two or more candidates.
-            best, best_count = -1, n + 1
-            for i in unassigned:
-                if not values[i] and (count := cand[i].bit_count()) < best_count:
-                    best, best_count = i, count
+            # Every free cell has two or more candidates.  Each frame pushed
+            # since the last branch node took one from each of its lost
+            # cells: subtract 1 there in a copy (saved keeps the old list), a
+            # borrow rippling up the slices.  Then from the top slice down,
+            # keep the cells with a 0 if any has one.
+            slices = slices[:]
+            for _, _, borrow in stack[synced:]:
+                for b in bits:
+                    s = slices[b]
+                    slices[b], borrow = s ^ borrow, borrow & ~s
+                    if not borrow:
+                        break
+            synced = len(stack)
+            saved[synced] = slices
+            fewest = free
+            for s in reversed(slices):
+                fewest = fewest & ~s or fewest
+            best = (fewest & -fewest).bit_length() - 1
             mask = cand[best]
         if mask:
             cell = best
@@ -434,6 +454,9 @@ def solve(
                     break
             else:
                 break
+            # Back at a branch node, with the slices it saw.
+            synced = len(stack)
+            slices = saved[synced]
         # Place the lowest value left at the cell.
         cbit = 1 << cell
         bit = mask & -mask

@@ -455,6 +455,20 @@ def test_empty_grid_searches_are_pinned():
         assert reference_search(spec, 1) == ([sol.cells], node_count, False)
 
 
+def test_large_empty_grid_searches_are_pinned():
+    # The empty classic 36x36 and 49x49 at cap=1, the first grids whose
+    # candidate counts take six bit slices.  The reference search is left
+    # out: it already takes about a second on the 25x25.
+    for n, node_count, digest in (
+        (36, 1337, "e6ece169e52eb09d"),
+        (49, 2472, "ac550b5403576e47"),
+    ):
+        outcome = solve(make_classic_spec(n), cap=1)
+        (sol,) = outcome.solutions
+        assert outcome.nodes_explored == node_count and not outcome.exhausted
+        assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
+
+
 def test_a_dead_place_in_a_group_whose_first_cell_is_given():
     # Regions fitted to a 6x6 Latin square.  After the branch on cell 1, a
     # value has no place left in row 4, whose first cell (19) is given; the
