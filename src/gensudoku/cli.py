@@ -14,15 +14,13 @@ import sys
 from .condition import NecessityReport, check_necessary
 from .errors import GenSudokuError, PuzzleFormatError
 from .matrices import build_constraint_matrix, build_difference_matrix
-from .problems import (
-    SolveOutcome,
-    brute_force,
-    make_classic_spec,
-    make_gerechte_spec,
-    make_latin_spec,
-    solve,
-    verify_solution,
+from .permutations import (
+    block_permutation,
+    identity_permutation,
+    partition_permutation,
+    transpose_permutation,
 )
+from .problems import SolveOutcome, brute_force, solve, verify_solution
 from .puzzle_io import (
     load_problem,
     load_puzzle,
@@ -39,28 +37,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a puzzle file")
-    p_solve.add_argument("file")
-    p_solve.add_argument("--cap", type=int, default=None, metavar="K")
-    p_solve.add_argument("--format", choices=["text", "json"], default="text")
-    p_solve.set_defaults(run=_cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="verify a solution file")
-    p_verify.add_argument("file")
-    p_verify.add_argument("solution")
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.set_defaults(run=_cmd_verify)
-
-    p_check = sub.add_parser("check", help="reconstruction-identity report")
-    p_check.add_argument("file")
-    p_check.add_argument("solution")
-    p_check.add_argument("--format", choices=["text", "json"], default="text")
-    p_check.set_defaults(run=_cmd_check)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force enumeration")
-    p_oracle.add_argument("file")
-    p_oracle.add_argument("--format", choices=["text", "json"], default="text")
-    p_oracle.set_defaults(run=_cmd_oracle)
+    for name, summary, run in (
+        ("solve", "solve a puzzle file", _cmd_solve),
+        ("verify", "verify a solution file", _cmd_verify),
+        ("check", "reconstruction-identity report", _cmd_check),
+        ("oracle", "brute-force enumeration", _cmd_oracle),
+    ):
+        p_cmd = sub.add_parser(name, help=summary)
+        p_cmd.add_argument("file")
+        if name in ("verify", "check"):
+            p_cmd.add_argument("solution")
+        if name == "solve":
+            p_cmd.add_argument("--cap", type=int, default=None, metavar="K")
+        p_cmd.add_argument("--format", choices=["text", "json"], default="text")
+        p_cmd.set_defaults(run=run)
 
     p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
     p_matrix.add_argument("n", type=int)
@@ -68,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--regions", default=None, metavar="PATH")
     p_matrix.set_defaults(run=_cmd_matrix)
     return parser
-
-
-def _print_rows(rows) -> None:
-    for row in rows:
-        print(" ".join(str(v) for v in row))
 
 
 def _print_outcome(outcome: SolveOutcome, fmt: str) -> int:
@@ -160,21 +145,20 @@ def _cmd_matrix(args) -> int:
     if args.pi is None:
         header, matrix = f"A({n})", build_difference_matrix(n)
     else:
-        if args.pi != 3:
-            spec = make_latin_spec(n)
-        elif args.regions is not None:
+        if args.regions is not None:
             part = parse_regions(read_text(args.regions), args.regions)
             if part.n != n:
                 raise GenSudokuError(
                     f"region grid is {part.n}x{part.n}, requested n is {n}"
                 )
-            spec = make_gerechte_spec(part)
+            perm = partition_permutation(part)
         else:
-            spec = make_classic_spec(n)
-        header = f"A_pi {n}"
-        matrix = build_constraint_matrix(n, spec.constraints[args.pi - 1])
+            canonical = (identity_permutation, transpose_permutation, block_permutation)
+            perm = canonical[args.pi - 1](n)
+        header, matrix = f"A_pi {n}", build_constraint_matrix(n, perm)
     print(header)
-    _print_rows(matrix.to_dense())
+    for row in matrix.to_dense():
+        print(" ".join(str(v) for v in row))
     return 0
 
 

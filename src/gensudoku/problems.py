@@ -275,7 +275,7 @@ def solve(
                 )
                 return SolveOutcome(exhausted=True, diagnostics=[conflict])
             used[gid] |= 1 << value
-    peers = [0] * total  # the cells sharing a group with cell i, i left out
+    peers = [0] * total  # the cells sharing a group with cell i, i among them
     cand = [full] * total  # candidate mask per cell, kept while it is filled
     inter = [0] * len(groups)  # the groups sharing two or more cells with g
     # A (group, value) pair with at most span places is looked at closely:
@@ -302,7 +302,6 @@ def solve(
     by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
     free = 0
     for i, value in enumerate(values):
-        peers[i] ^= 1 << i
         if value:
             blocked[value] |= peers[i]
             sv[value] &= ~group_bits[i]
@@ -326,7 +325,7 @@ def solve(
     nodes = 0
     while True:
         stop = -1
-        if free and not (dead or low):
+        if free and not low:
             # Every group holds each value once, so a value missing from a
             # group goes in exactly one of its free cells: a value no cell
             # there can take is a dead end, and one that a single cell can

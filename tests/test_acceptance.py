@@ -6,9 +6,11 @@ independent enumeration oracles computed here, never from the code paths
 under test.
 """
 
+import contextlib
 import hashlib
 import math
 import random
+import signal
 import time
 from itertools import combinations
 from itertools import permutations as iter_permutations
@@ -439,34 +441,63 @@ def test_search_nodes_and_order_are_pinned():
     ) == (0, [], True, [])
 
 
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail the running test if the block takes longer than ``seconds``.
+
+    A SIGALRM interval timer interrupts the block; the previous handler and
+    timer (less the time the block took) are restored on the way out.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if delay:
+            left = max(delay - (time.monotonic() - start), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, interval)
+
+
 def test_empty_grid_searches_are_pinned():
     # The empty grids hard-search solves at cap=1: their node counts and
     # first solutions, pinned by a digest of the cells and held to the
     # reference search, which recounts every group at every node.
-    for spec, node_count, digest in (
-        (make_latin_spec(20), 400, "d31245f3b0345488"),
-        (make_classic_spec(16), 256, "bee0e2fbbb520ffe"),
-        (make_classic_spec(25), 628, "e53a79bc63806bbd"),
-    ):
-        outcome = solve(spec, cap=1)
-        (sol,) = outcome.solutions
-        assert outcome.nodes_explored == node_count and not outcome.exhausted
-        assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
-        assert reference_search(spec, 1) == ([sol.cells], node_count, False)
+    # A search that branches on the wrong cell can run for hours, so the
+    # test fails after 30 s instead (it takes a few seconds at most).
+    with time_bound(30):
+        for spec, node_count, digest in (
+            (make_latin_spec(20), 400, "d31245f3b0345488"),
+            (make_classic_spec(16), 256, "bee0e2fbbb520ffe"),
+            (make_classic_spec(25), 628, "e53a79bc63806bbd"),
+        ):
+            outcome = solve(spec, cap=1)
+            (sol,) = outcome.solutions
+            assert outcome.nodes_explored == node_count and not outcome.exhausted
+            assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
+            assert reference_search(spec, 1) == ([sol.cells], node_count, False)
 
 
 def test_large_empty_grid_searches_are_pinned():
     # The empty classic 36x36 and 49x49 at cap=1, the first grids whose
     # candidate counts take six bit slices.  The reference search is left
     # out: it already takes about a second on the 25x25.
-    for n, node_count, digest in (
-        (36, 1337, "e6ece169e52eb09d"),
-        (49, 2472, "ac550b5403576e47"),
-    ):
-        outcome = solve(make_classic_spec(n), cap=1)
-        (sol,) = outcome.solutions
-        assert outcome.nodes_explored == node_count and not outcome.exhausted
-        assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
+    # Bounded as above.
+    with time_bound(30):
+        for n, node_count, digest in (
+            (36, 1337, "e6ece169e52eb09d"),
+            (49, 2472, "ac550b5403576e47"),
+        ):
+            outcome = solve(make_classic_spec(n), cap=1)
+            (sol,) = outcome.solutions
+            assert outcome.nodes_explored == node_count and not outcome.exhausted
+            assert hashlib.sha256(bytes(sol.cells)).hexdigest()[:16] == digest
 
 
 def test_a_dead_place_in_a_group_whose_first_cell_is_given():

@@ -7,10 +7,15 @@ import gensudoku.cli
 import gensudoku.problems
 from gensudoku import (
     Assignment,
+    Partition,
     brute_force,
+    build_constraint_matrix,
     check_necessary,
     load_problem,
     load_puzzle,
+    make_classic_spec,
+    make_gerechte_spec,
+    make_latin_spec,
     solve,
     verify_solution,
 )
@@ -28,10 +33,83 @@ SOLVED9 = (
 )
 
 
+USAGE = "usage: gensudoku [-h] {solve,verify,check,oracle,matrix} ...\n"
+OPTIONS = "options:\n  -h, --help            show this help message and exit\n"
+FORMAT = "  --format {text,json}\n"
+# What argparse prints for the bare program and for each --help, at 80
+# columns: (arguments, exit code, stdout, stderr).
+HELP_PAGES = [
+    ([], 2, "", USAGE + "gensudoku: error: the following arguments are required: command\n"),
+    (["--help"], 0, USAGE + """
+Generalized Sudoku engine: solve, verify and check puzzles.
+
+positional arguments:
+  {solve,verify,check,oracle,matrix}
+    solve               solve a puzzle file
+    verify              verify a solution file
+    check               reconstruction-identity report
+    oracle              brute-force enumeration
+    matrix              dump a constraint matrix densely
+
+""" + OPTIONS, ""),
+    (["solve", "--help"], 0, """\
+usage: gensudoku solve [-h] [--cap K] [--format {text,json}] file
+
+positional arguments:
+  file
+
+""" + OPTIONS + "  --cap K\n" + FORMAT, ""),
+    (["verify", "--help"], 0, """\
+usage: gensudoku verify [-h] [--format {text,json}] file solution
+
+positional arguments:
+  file
+  solution
+
+""" + OPTIONS + FORMAT, ""),
+    (["check", "--help"], 0, """\
+usage: gensudoku check [-h] [--format {text,json}] file solution
+
+positional arguments:
+  file
+  solution
+
+""" + OPTIONS + FORMAT, ""),
+    (["oracle", "--help"], 0, """\
+usage: gensudoku oracle [-h] [--format {text,json}] file
+
+positional arguments:
+  file
+
+""" + OPTIONS + FORMAT, ""),
+    (["matrix", "--help"], 0, """\
+usage: gensudoku matrix [-h] [--pi {1,2,3}] [--regions PATH] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help      show this help message and exit
+  --pi {1,2,3}
+  --regions PATH
+""", ""),
+]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", HELP_PAGES, ids=[" ".join(a) or "bare" for a, *_ in HELP_PAGES]
+)
+def test_usage_and_help_pages(monkeypatch, capsys, argv, code, out, err):
+    # argparse wraps help to the terminal width, so fix it.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(argv) == code
+    assert capsys.readouterr() == (out, err)
 
 
 class TestMatrixCommand:
@@ -48,9 +126,37 @@ class TestMatrixCommand:
         assert lines[0] == "A_pi 2"
         assert lines[1:] == ["1 -1 0 0", "0 0 1 -1"]
 
+    @pytest.mark.parametrize(
+        "make, n, pi, regions",
+        [(make_classic_spec, n, pi, None) for n in (4, 9) for pi in (1, 2, 3)]
+        + [(make_latin_spec, 3, pi, None) for pi in (1, 2)]
+        + [
+            (make_gerechte_spec, 3, 3, "a a b\na b b\nc c c\n"),
+            (make_gerechte_spec, 4, 3, "a a b b\nc a a b\nc d d b\nc c d d\n"),
+        ],
+    )
+    def test_pi_dump_is_the_spec_constraint(self, tmp_path, capsys, make, n, pi, regions):
+        # A_pi is the matrix of constraint pi of the spec of that kind.
+        argv = ["matrix", str(n), "--pi", str(pi)]
+        if regions is None:
+            spec = make(n)
+        else:
+            argv += ["--regions", write(tmp_path, "part.txt", regions)]
+            labels = regions.split()
+            groups = [
+                tuple(i for i, label in enumerate(labels, 1) if label == name)
+                for name in dict.fromkeys(labels)
+            ]
+            spec = make(Partition(n, groups))
+        expected = build_constraint_matrix(n, spec.constraints[pi - 1]).to_dense()
+        assert run_cli(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"A_pi {n}"
+        assert lines[1:] == [" ".join(map(str, row)) for row in expected]
+
     def test_pi3_requires_square_or_regions(self, capsys):
         assert run_cli(["matrix", "3", "--pi", "3"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: n must be a perfect square >= 4, got 3\n")
 
     def test_pi3_with_regions(self, tmp_path, capsys):
         regions = write(tmp_path, "part.txt", "a a b\na b b\nc c c\n")
@@ -77,12 +183,18 @@ class TestMatrixCommand:
         assert captured.out == ""
         assert captured.err == "error: region grid is 4x4, requested n is 9\n"
 
-    def test_bad_order_prints_nothing(self, capsys):
-        for n in ("0", "-1"):
-            assert run_cli(["matrix", n]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "error:" in captured.err
+    def test_bad_order_prints_nothing(self, tmp_path, capsys):
+        tile = write(tmp_path, "one.txt", "a\n")
+        for args, message in (
+            (["0"], "n must be >= 1, got 0"),
+            (["-1"], "n must be >= 1, got -1"),
+            (["1", "--pi", "2"], "n must be >= 2, got 1"),
+            (["0", "--pi", "1"], "n must be >= 1, got 0"),
+            (["-1", "--pi", "3"], "n must be a perfect square >= 4, got -1"),
+            (["1", "--pi", "3", "--regions", tile], "n must be >= 2, got 1"),
+        ):
+            assert run_cli(["matrix", *args]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_dump_is_stable(self, capsys):
         run_cli(["matrix", "4"])
