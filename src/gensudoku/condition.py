@@ -119,14 +119,11 @@ def reconstruct(matrix: ConstraintMatrix, x: Sequence[int]) -> tuple[int, ...]:
     require_instance("matrix", matrix, ConstraintMatrix)
     signs = gsgn(matrix.apply(x))
     sums = matrix.apply_transpose(signs)
-    return _halve(tuple(s + matrix.n + 1 for s in sums))
-
-
-def _halve(t: tuple[int, ...]) -> tuple[int, ...]:
-    for idx, val in enumerate(t, start=1):
+    doubled = tuple(s + matrix.n + 1 for s in sums)
+    for idx, val in enumerate(doubled, start=1):
         if val % 2 != 0:
             raise ParityError(idx, val)
-    return tuple(val // 2 for val in t)
+    return tuple(val // 2 for val in doubled)
 
 
 def vanishing_rows(values: Sequence[int], block: int) -> Iterator[int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .errors import (
@@ -32,13 +33,11 @@ class Permutation:
     def __post_init__(self):
         object.__setattr__(self, "images", as_tuple("images", self.images))
         size = len(self.images)
-        seen = [False] * (size + 1)
-        for img in self.images:
-            if type(img) is not int or not 1 <= img <= size or seen[img]:
-                raise InvalidPermutationError(
-                    f"images {self.images!r} are not a bijection on 1..{size}"
-                )
-            seen[img] = True
+        ints = all(type(img) is int for img in self.images)  # sorted() fails on str
+        if not ints or sorted(self.images) != list(range(1, size + 1)):
+            raise InvalidPermutationError(
+                f"images {self.images!r} are not a bijection on 1..{size}"
+            )
 
     @property
     def size(self) -> int:
@@ -122,11 +121,7 @@ def transpose_permutation(n: int) -> Permutation:
     require_int("n", n)
     if n < 1:
         raise InvalidPermutationError(f"n must be >= 1, got {n}")
-    images = [0] * (n * n)
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            images[(r - 1) * n + c - 1] = (c - 1) * n + r
-    return Permutation(tuple(images))
+    return Permutation(tuple(c * n + r for r in range(1, n + 1) for c in range(n)))
 
 
 def block_permutation(n: int) -> Permutation:
@@ -139,15 +134,9 @@ def block_permutation(n: int) -> Permutation:
     if n < 4 or math.isqrt(n) ** 2 != n:
         raise InvalidPermutationError(f"n must be a perfect square >= 4, got {n}")
     m = math.isqrt(n)
-    images = [0] * (n * n)
-    for i in range(1, n + 1):  # tableau row = subsquare number
-        sub_row, sub_col = divmod(i - 1, m)
-        for j in range(1, n + 1):  # position within the row
-            local_row, local_col = divmod(j - 1, m)
-            row = sub_row * m + local_row + 1
-            col = sub_col * m + local_col + 1
-            images[(i - 1) * n + j - 1] = (row - 1) * n + col
-    return Permutation(tuple(images))
+    # Tableau row a*m + b is subsquare (a, b); its entry i*m + j is cell (i, j).
+    quads = product(range(m), repeat=4)
+    return Permutation(tuple((a * m + i) * n + b * m + j + 1 for a, b, i, j in quads))
 
 
 def partition_permutation(part: Partition) -> Permutation:

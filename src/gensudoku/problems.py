@@ -254,27 +254,11 @@ def solve(
     values = [0] * total
     for cell, value in problem.givens:
         values[cell - 1] = value
-    # Mask each group's cells and each cell's groups, mark the givens'
-    # values per group, and stop at the first group, in constraint order,
-    # holding a value twice.
-    gmask = [0] * len(groups)
+    # One sweep over the groups, in constraint order, masks each group's
+    # cells and each cell's groups, stops at the first group holding a value
+    # twice, and takes each group's givens from its cells' candidates.
+    gmask = []
     group_bits = [0] * total
-    used = [0] * len(groups)  # bitmask of values present per group
-    for gid, group in enumerate(groups):
-        for cell in group:
-            gmask[gid] |= 1 << cell
-            group_bits[cell] |= 1 << gid
-            value = values[cell]
-            if not value:
-                continue
-            if used[gid] >> value & 1:
-                first = next(c for c in group if values[c] == value)
-                conflict = (
-                    f"givens conflict: cells {first + 1} and {cell + 1} both "
-                    f"hold {value} in one constraint group"
-                )
-                return SolveOutcome(exhausted=True, diagnostics=[conflict])
-            used[gid] |= 1 << value
     peers = [0] * total  # the cells sharing a group with cell i, i among them
     cand = [full] * total  # candidate mask per cell, kept while it is filled
     inter = [0] * len(groups)  # the groups sharing two or more cells with g
@@ -283,44 +267,58 @@ def solve(
     # takes no more than the most cells two groups share.
     span = 1
     for gid, group in enumerate(groups):
-        seen = twice = 0
+        gbit = 1 << gid
+        mask = used = seen = twice = 0
         for cell in group:
-            peers[cell] |= gmask[gid]
-            cand[cell] &= ~used[gid]
+            mask |= 1 << cell
+            # group_bits holds only earlier groups here: each pair is met once.
             twice |= seen & group_bits[cell]
             seen |= group_bits[cell]
-        inter[gid] = twice ^ 1 << gid  # n >= 2 cells put g itself in twice
-        twice &= (1 << gid) - 1
+            group_bits[cell] |= gbit
+            value = values[cell]
+            if not value:
+                continue
+            if used >> value & 1:
+                first = next(c for c in group if values[c] == value)
+                conflict = (
+                    f"givens conflict: cells {first + 1} and {cell + 1} both "
+                    f"hold {value} in one constraint group"
+                )
+                return SolveOutcome(exhausted=True, diagnostics=[conflict])
+            used |= 1 << value
+        gmask.append(mask)
+        for cell in group:
+            peers[cell] |= mask
+            cand[cell] &= ~used
+        inter[gid] = twice
         while twice:
-            h = twice.bit_length() - 1
-            twice ^= 1 << h
-            if (shared := (gmask[gid] & gmask[h]).bit_count()) > span:
-                span = shared
-    blocked = [0] * (n + 1)  # cells that share a group with a given v
+            hbit = twice & -twice
+            twice ^= hbit
+            h = hbit.bit_length() - 1
+            inter[h] |= gbit
+            span = max(span, (mask & gmask[h]).bit_count())
+    plane = [(1 << total) - 1] * (n + 1)  # bit i: cell i can take v, if free
     every = (1 << len(groups)) - 1
     sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
     by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
     free = 0
     for i, value in enumerate(values):
         if value:
-            blocked[value] |= peers[i]
+            plane[value] &= ~peers[i]
             sv[value] &= ~group_bits[i]
         else:
             free |= 1 << i
             by_count[cand[i].bit_count()] |= 1 << i
-    plane = [free & ~cells for cells in blocked]  # bit i: free cell i can take v
     low = by_count[0] | by_count[1]  # bit i: free cell i has at most one candidate
     dead = by_count[0] != 0  # some free cell has no candidate
     # Bit i of slices[b] is bit b of free cell i's candidate count as of
-    # stack[:synced]; saved[d] holds the slices the branch node whose frame
-    # is stack[d] saw.  The masks of by_count are disjoint, so a sum is an OR.
+    # stack[:synced].  The masks of by_count are disjoint, so a sum is an OR.
     bits = range(n.bit_length())
     slices = [sum(m for k, m in enumerate(by_count) if k >> b & 1) for b in bits]
-    saved = {}
     synced = 0
-    # (cell, values still to try there, the peers its value was cleared
-    # from), or (~v, 0, the cells a locked step took v from)
-    stack: list[tuple[int, int, int]] = []
+    # (cell, values left to try there, the peers its value left, slices),
+    # or (~v, 0, the cells a locked step took v from, slices), when pushed
+    stack: list[tuple[int, int, int, list[int]]] = []
     solutions: list[Assignment] = []
     nodes = 0
     while True:
@@ -362,7 +360,7 @@ def solve(
                             if lost:
                                 places ^= lost
                                 plane[v] ^= lost
-                                stack.append((~v, 0, lost))
+                                stack.append((~v, 0, lost, slices))
                                 bit = 1 << v
                                 while lost:
                                     pbit = lost & -lost
@@ -411,18 +409,17 @@ def solve(
         else:
             # Every free cell has two or more candidates.  Each frame pushed
             # since the last branch node took one from each of its lost
-            # cells: subtract 1 there in a copy (saved keeps the old list), a
-            # borrow rippling up the slices.  Then from the top slice down,
-            # keep the cells with a 0 if any has one.
+            # cells: subtract 1 there in a copy (the frames keep the old
+            # list), a borrow rippling up the slices.  Then from the top slice
+            # down, keep the cells with a 0 if any has one.
             slices = slices[:]
-            for _, _, borrow in stack[synced:]:
+            for _, _, borrow, _ in stack[synced:]:
                 for b in bits:
                     s = slices[b]
                     slices[b], borrow = s ^ borrow, borrow & ~s
                     if not borrow:
                         break
             synced = len(stack)
-            saved[synced] = slices
             fewest = free
             for s in reversed(slices):
                 fewest = fewest & ~s or fewest
@@ -431,12 +428,13 @@ def solve(
         if mask:
             cell = best
         else:
-            # A dead end or a solution: the frame it returns to is a branch
-            # node, where no cell had fewer than two candidates and no pair
-            # was stale.  Undo back to the deepest cell with a value left.
+            # A dead end or a solution: undo back to the deepest cell with a
+            # value left.  Only a branch node's frame has one, pushed just
+            # after the node brought the slices up to date; no cell there had
+            # fewer than two candidates and no pair was stale.
             low, dead, sv = 0, False, [0] * (n + 1)
             while stack:
-                cell, mask, back = stack.pop()
+                cell, mask, back, slices = stack.pop()
                 if cell < 0:
                     value = ~cell
                 else:
@@ -453,9 +451,7 @@ def solve(
                     break
             else:
                 break
-            # Back at a branch node, with the slices it saw.
             synced = len(stack)
-            slices = saved[synced]
         # Place the lowest value left at the cell.
         cbit = 1 << cell
         bit = mask & -mask
@@ -466,7 +462,7 @@ def solve(
         free ^= cbit
         lost = plane[value] & peers[cell] & free
         plane[value] ^= lost
-        stack.append((cell, mask ^ bit, lost))
+        stack.append((cell, mask ^ bit, lost, slices))
         touched = 0
         while lost:
             pbit = lost & -lost

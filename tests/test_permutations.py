@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import pytest
 
@@ -63,10 +65,12 @@ class TestPermutation:
             assert p.apply_to_vector(p.inverse().apply_to_vector(x)) == x
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(InvalidPermutationError):
-            Permutation((1, 1, 3))
-        with pytest.raises(InvalidPermutationError):
-            Permutation((0, 1, 2))
+        # (1, "a") is rejected for its type before any sort could compare a str.
+        cases = [(1, 1, 3), (0, 1, 2), (True, 2), (1.0, 2), (1, "a"), (1, 3), (2, 2)]
+        for images in cases:
+            message = f"images {images!r} are not a bijection on 1..{len(images)}"
+            with pytest.raises(InvalidPermutationError, match=f"^{re.escape(message)}$"):
+                Permutation(images)
 
     def test_identity_of_order_zero_rejected(self):
         with pytest.raises(InvalidPermutationError, match="^n must be >= 1, got 0$"):
@@ -82,6 +86,13 @@ class TestTransposePermutation:
 
     def test_n2_images(self):
         assert transpose_permutation(2).images == (1, 3, 2, 4)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sends_row_and_column_to_column_and_row(self, n):
+        images = transpose_permutation(n).images
+        for r in range(n):
+            for c in range(n):
+                assert images[r * n + c] == c * n + r + 1
 
     def test_involution(self):
         for n in range(2, 10):
@@ -100,6 +111,15 @@ class TestBlockPermutation:
         assert block_permutation(4).images == (
             1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 13, 14, 11, 12, 15, 16,
         )
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 25, 36, 49])
+    def test_tableau_row_i_is_subsquare_i_in_reading_order(self, n):
+        m = math.isqrt(n)
+        images = block_permutation(n).images
+        for i in range(n):
+            top, left = i // m * m, i % m * m
+            cells = [(top + k // m) * n + left + k % m + 1 for k in range(n)]
+            assert list(images[i * n : (i + 1) * n]) == cells
 
     def test_first_row_maps_to_top_left_block(self):
         p = block_permutation(9)
