@@ -17,11 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 from .condition import Assignment
-from .errors import PuzzleFormatError, require_instance
+from .errors import DimensionError, PuzzleFormatError, SpecError, as_ints, require_instance
 from .permutations import Partition
 from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_latin_spec
-
-_PATH_TYPES = (str, os.PathLike)
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,8 @@ class PuzzleDocument:
     """Parsed puzzle file: row-major cells with 0 for blanks, optional region path.
 
     ``first_blank`` is the (line, column) where the parser read the first
-    blank cell, or None when no cell is blank.
+    blank cell, or None when no cell is blank.  Fields are checked when
+    built: ``n`` and the n^2 cells as ``Assignment`` checks them, in 0..n.
     """
 
     n: int
@@ -38,16 +37,29 @@ class PuzzleDocument:
     source_name: str = "<string>"
     first_blank: Optional[tuple[int, int]] = None
 
+    def __post_init__(self):
+        cells = Assignment(self.n, self.cells).cells
+        object.__setattr__(self, "cells", cells)
+        if not set(cells) <= set(range(self.n + 1)):
+            i, value = next((i, v) for i, v in enumerate(cells, 1) if not 0 <= v <= self.n)
+            raise SpecError(f"cell {i} holds {value}, outside 0..{self.n}")
+        require_instance("region_path", self.region_path, (str, type(None)))
+        require_instance("source_name", self.source_name, str)
+        if self.first_blank is not None:
+            object.__setattr__(self, "first_blank", as_ints("first_blank", self.first_blank))
+            if len(self.first_blank) != 2:
+                raise DimensionError(f"first_blank must be 2 ints, got {self.first_blank}")
+
     def givens(self) -> tuple[tuple[int, int], ...]:
         """Non-blank cells as (row-major 1-based index, value) pairs."""
         return tuple((i, v) for i, v in enumerate(self.cells, 1) if v)
 
     def assignment(self) -> Assignment:
         """The cells as an assignment; a blank raises PuzzleFormatError at its place."""
-        if self.first_blank is not None:
+        if 0 in self.cells:
             raise PuzzleFormatError(
                 "grid has blank cells, not a full assignment",
-                *self.first_blank,
+                *(self.first_blank or ()),
                 source_name=self.source_name,
             )
         return Assignment(self.n, self.cells)
@@ -85,7 +97,6 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
         row_start = 2
 
     cells: list[int] = []
-    first_blank = None
     for r in range(n):
         lineno = row_start + r + 1
         if lineno > len(lines):
@@ -100,12 +111,12 @@ def parse_puzzle(text: str, source_name: str = "<string>") -> PuzzleDocument:
                 raise fail(f"value {token!r} is not an integer", lineno, c)
             if not 0 <= value <= n:
                 raise fail(f"value {value} outside 0..{n}", lineno, c)
-            if value == 0 and first_blank is None:
-                first_blank = (lineno, c)
             cells.append(value)
     for lineno, line in enumerate(lines[row_start + n :], row_start + n + 1):
         if line.strip():
             raise fail("unexpected content after the grid", lineno)
+    i = cells.index(0) if 0 in cells else None
+    first_blank = None if i is None else (row_start + i // n + 1, i % n + 1)
     return PuzzleDocument(n, tuple(cells), region_path, source_name, first_blank)
 
 
@@ -186,8 +197,13 @@ def read_text(path: str | Path) -> str:
         raise PuzzleFormatError(str(exc), source_name=str(path)) from exc
 
 
+def load_regions(path: str | os.PathLike) -> Partition:
+    """The partition in a region file; see ``parse_regions``."""
+    return parse_regions(read_text(path), source_name=str(path))
+
+
 def load_puzzle(path: str | os.PathLike) -> PuzzleDocument:
-    require_instance("path", path, _PATH_TYPES)
+    require_instance("path", path, (str, os.PathLike))
     path = Path(path)
     text = read_text(path)
     # One non-blank line that is not an 'n <n>' header is the 81-character form.
@@ -197,27 +213,20 @@ def load_puzzle(path: str | os.PathLike) -> PuzzleDocument:
     return parse_puzzle(text, source_name=str(path))
 
 
-def build_problem(
-    doc: PuzzleDocument, base_dir: str | os.PathLike | None = None
-) -> ProblemSpec:
+def build_problem(doc: PuzzleDocument) -> ProblemSpec:
     """Pick constraints for a document.
 
-    With a region file: rows, columns and the regions.  Otherwise classic
-    subsquares when n is a perfect square, else the Latin-square pair.
+    With a region file, found beside ``doc.source_name``: rows, columns and
+    the regions.  Otherwise classic subsquares when n is a perfect square,
+    else the Latin-square pair.
     """
     require_instance("doc", doc, PuzzleDocument)
-    if base_dir is not None:
-        require_instance("base_dir", base_dir, _PATH_TYPES)
     if doc.region_path is not None:
-        # Joining drops base_dir before an absolute region path.
-        region_file = Path(base_dir or "", doc.region_path)
-        part = parse_regions(read_text(region_file), source_name=str(region_file))
+        # Joining drops the directory before an absolute region path.
+        part = load_regions(Path(doc.source_name).parent / doc.region_path)
         if part.n != doc.n:
-            raise PuzzleFormatError(
-                f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}",
-                1,
-                source_name=doc.source_name,
-            )
+            sizes = f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}"
+            raise PuzzleFormatError(sizes, 1, source_name=doc.source_name)
         return make_gerechte_spec(part, doc.givens())
     m = math.isqrt(doc.n)
     if m * m == doc.n and doc.n >= 4:
@@ -226,4 +235,4 @@ def build_problem(
 
 
 def load_problem(path: str | os.PathLike) -> ProblemSpec:
-    return build_problem(load_puzzle(path), base_dir=Path(path).parent)
+    return build_problem(load_puzzle(path))

@@ -190,6 +190,7 @@ class TestMatrixCommand:
             (["-1"], "n must be >= 1, got -1"),
             (["1", "--pi", "2"], "n must be >= 2, got 1"),
             (["0", "--pi", "1"], "n must be >= 1, got 0"),
+            (["0", "--pi", "2"], "n must be >= 1, got 0"),
             (["-1", "--pi", "3"], "n must be a perfect square >= 4, got -1"),
             (["1", "--pi", "3", "--regions", tile], "n must be >= 2, got 1"),
         ):

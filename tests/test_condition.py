@@ -5,6 +5,7 @@ import pytest
 from gensudoku import (
     Assignment,
     ConstraintMatrix,
+    DimensionError,
     InputTypeError,
     NotApplicableError,
     ParityError,
@@ -49,6 +50,9 @@ class TestPairwiseSignSum:
 
     def test_two_elements(self):
         assert pairwise_sign_sum((5, 3), 1) == 1
+        for i in (0, 3):
+            with pytest.raises(DimensionError, match=f"^index {i} outside 1..2$"):
+                pairwise_sign_sum((1, 2), i)
 
     def test_agrees_with_closed_form(self):
         x = (5, 3, 4, 1, 2)

@@ -2,8 +2,11 @@ import pytest
 
 from gensudoku import (
     Assignment,
+    DimensionError,
     InputTypeError,
+    PuzzleDocument,
     PuzzleFormatError,
+    SpecError,
     build_problem,
     load_problem,
     load_puzzle,
@@ -15,6 +18,8 @@ from gensudoku import (
     solve,
 )
 from reference_data import REGION3_GROUPS, X3
+
+BLANK2 = (0, 2, 2, 1)
 
 
 class TestParsePuzzle:
@@ -235,11 +240,51 @@ class TestEntryTypes:
         with pytest.raises(InputTypeError, match="source_name must be a str, got int$"):
             parse("", 3)
 
-    def test_build_problem_needs_a_document_and_a_path(self, tmp_path):
+    def test_build_problem_needs_a_document_and_a_path(self, tmp_path, monkeypatch):
         with pytest.raises(InputTypeError, match="doc must be a PuzzleDocument, got NoneType$"):
             build_problem(None)
-        doc = parse_puzzle("n 2\nregions part.txt\n0 0\n0 0\n")
-        with pytest.raises(InputTypeError, match="base_dir must be a str or PathLike, got int$"):
-            build_problem(doc, base_dir=3)
+        text = "n 2\nregions part.txt\n0 0\n0 0\n"
         (tmp_path / "part.txt").write_text("a a\nb b\n")
-        assert build_problem(doc, base_dir=str(tmp_path)) == build_problem(doc, tmp_path)
+        (tmp_path / "elsewhere").mkdir()
+        # The region file is found beside the document's source, not in the
+        # working directory.
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        beside = build_problem(parse_puzzle(text, source_name=str(tmp_path / "p.txt")))
+        # A document parsed from a string finds it in the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert build_problem(parse_puzzle(text)) == beside
+        assert beside.constraints[2].images == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            (("3", (0,) * 9), InputTypeError, "n must be an int, got str"),
+            ((3, None), InputTypeError, "cells must be iterable, got NoneType"),
+            ((3, (0,) * 8 + ("1",)), InputTypeError, "cell 9 must be an int, got str"),
+            ((9, (1, 2)), DimensionError, "expected 81 cells, got 2"),
+            ((2, (0, 3, -1, 1)), SpecError, "cell 2 holds 3, outside 0..2"),
+            ((3, (0,) * 9, 5), InputTypeError, "region_path must be a str or NoneType, got int"),
+            ((2, BLANK2, None, None), InputTypeError, "source_name must be a str, got NoneType"),
+            ((2, BLANK2, None, "p", 5), InputTypeError, "first_blank must be iterable, got int"),
+            (
+                (2, BLANK2, None, "p", ("1", 1)),
+                InputTypeError,
+                "every component of first_blank must be an int",
+            ),
+            (
+                (2, BLANK2, None, "p", (1,)),
+                DimensionError,
+                r"first_blank must be 2 ints, got \(1,\)",
+            ),
+        ],
+    )
+    def test_document_checks_its_fields(self, fields, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build_problem(PuzzleDocument(*fields))
+
+    def test_a_document_with_a_blank_is_no_assignment(self):
+        doc = PuzzleDocument(2, BLANK2, first_blank=(4, 1))
+        with pytest.raises(PuzzleFormatError, match="^<string>: line 4, column 1: grid has"):
+            doc.assignment()
+        with pytest.raises(PuzzleFormatError, match="^<string>: grid has blank cells"):
+            PuzzleDocument(2, BLANK2).assignment()

@@ -75,6 +75,8 @@ class TestPermutation:
     def test_identity_of_order_zero_rejected(self):
         with pytest.raises(InvalidPermutationError, match="^n must be >= 1, got 0$"):
             identity_permutation(0)
+        with pytest.raises(InvalidPermutationError, match="^n must be >= 1, got 0$"):
+            transpose_permutation(0)
 
 
 class TestTransposePermutation:

@@ -9,7 +9,8 @@ on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
 returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
 or free function (``solve``, ``gsgn``, the sign sums, ``reconstruct``, the
 permutation and matrix builders, the rank, the checkers, ``render_tableau``,
-the parsers and ``build_problem``) or vector method (``apply``, ``apply_transpose``,
+the parsers, ``build_problem`` and it on a ``PuzzleDocument`` built from the
+arguments) or vector method (``apply``, ``apply_transpose``,
 ``apply_to_vector``) given a str, float, bool, None or nested tuple in
 place of an argument or of one of its items returns or raises a
 GenSudokuError.
@@ -460,7 +461,14 @@ CALLS = {
     "parse_puzzle": (parse_puzzle, ("n 2\n1 0\n0 2\n", "p.txt")),
     "parse_dot_string": (parse_dot_string, ("." * 81, "p.txt")),
     "parse_regions": (parse_regions, ("a b\nb a\n", "r.txt")),
-    "build_problem": (build_problem, (PuzzleDocument(3, X3), "puzzles")),
+    "build_problem": (build_problem, (PuzzleDocument(3, X3),)),
+    # No region path: one drawn in its place would name a file to open.
+    "build_problem(PuzzleDocument)": (
+        lambda n, cells, source_name, first_blank: build_problem(
+            PuzzleDocument(n, cells, None, source_name, first_blank)
+        ),
+        (3, X3, "p.txt", (2, 1)),
+    ),
     "ConstraintMatrix": (ConstraintMatrix, (2, 3, ((1, 2), (3, 1)))),
     "ConstraintMatrix.apply": (build_difference_matrix(3).apply, ((2, 1, 3),)),
     "ConstraintMatrix.apply_transpose": (build_difference_matrix(3).apply_transpose, ((1, -1, 1),)),
