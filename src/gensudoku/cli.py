@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, check, oracle, matrix.  Exit codes: 0 on
 success (solutions found / all checks hold), 1 when a violation or empty
-solution set is found, 2 on input errors.
+solution set is found, 2 on input errors.  Each command returns its
+result, whether it holds and its stderr notes; ``run_cli`` alone prints.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .condition import NecessityReport, check_necessary
+from .condition import check_necessary
 from .errors import GenSudokuError, PuzzleFormatError
 from .matrices import build_constraint_matrix, build_difference_matrix
 from .permutations import (
@@ -20,7 +21,7 @@ from .permutations import (
     partition_permutation,
     transpose_permutation,
 )
-from .problems import SolveOutcome, brute_force, solve, verify_solution
+from .problems import brute_force, solve, verify_solution
 from .puzzle_io import load_problem, load_puzzle, load_regions, render_tableau
 
 
@@ -31,11 +32,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, summary, run in (
-        ("solve", "solve a puzzle file", _cmd_solve),
-        ("verify", "verify a solution file", _cmd_verify),
-        ("check", "reconstruction-identity report", _cmd_check),
-        ("oracle", "brute-force enumeration", _cmd_oracle),
+    for name, summary, run, text in (
+        ("solve", "solve a puzzle file", _cmd_search, _outcome_text),
+        ("verify", "verify a solution file", _cmd_verify, _verdict),
+        ("check", "reconstruction-identity report", _cmd_check, _check_text),
+        ("oracle", "brute-force enumeration", _cmd_search, _outcome_text),
     ):
         p_cmd = sub.add_parser(name, help=summary)
         p_cmd.add_argument("file")
@@ -44,54 +45,42 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "solve":
             p_cmd.add_argument("--cap", type=int, default=None, metavar="K")
         p_cmd.add_argument("--format", choices=["text", "json"], default="text")
-        p_cmd.set_defaults(run=run)
+        p_cmd.set_defaults(run=run, text=text)
 
     p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
     p_matrix.add_argument("n", type=int)
     p_matrix.add_argument("--pi", type=int, choices=[1, 2, 3], default=None)
     p_matrix.add_argument("--regions", default=None, metavar="PATH")
-    p_matrix.set_defaults(run=_cmd_matrix)
+    p_matrix.set_defaults(run=_cmd_matrix, text=str, format="text")
     return parser
 
 
-def _print_outcome(outcome: SolveOutcome, fmt: str) -> int:
-    for line in outcome.diagnostics:
-        print(line, file=sys.stderr)
-    if fmt == "json":
-        print(json.dumps(outcome, default=vars))
-    else:
-        for k, sol in enumerate(outcome.solutions, start=1):
-            print(f"solution {k}")
-            print(render_tableau(sol))
-            print()
-        print(
-            f"solutions {len(outcome.solutions)} "
-            f"nodes {outcome.nodes_explored} "
-            f"exhausted {'true' if outcome.exhausted else 'false'}"
-        )
-    return 0 if outcome.solutions else 1
+def _outcome_text(outcome) -> str:
+    numbered = enumerate(outcome.solutions, start=1)
+    blocks = [f"solution {k}\n{render_tableau(sol)}\n" for k, sol in numbered]
+    exhausted = "true" if outcome.exhausted else "false"
+    summary = f"solutions {len(outcome.solutions)} nodes {outcome.nodes_explored}"
+    return "\n".join([*blocks, f"{summary} exhausted {exhausted}"])
 
 
-def _report_line(report: NecessityReport) -> str:
+def _verdict(result) -> str:
+    return "OK" if result.ok else f"VIOLATION ({result.clause}): {result.detail}"
+
+
+def _check_text(reports) -> str:
     # A loaded solution holds 1..n, so a group with no zero difference holds.
-    if report.holds:
-        return f"constraint {report.constraint_id}: HOLDS"
-    return (
-        f"constraint {report.constraint_id}: NOT-APPLICABLE "
-        f"(zero difference at row {report.zero_rows[0]})"
+    zero = "NOT-APPLICABLE (zero difference at row {})"
+    return "\n".join(
+        f"constraint {r.constraint_id}: {'HOLDS' if r.holds else zero.format(r.zero_rows[0])}"
+        for r in reports
     )
 
 
-def _cmd_solve(args) -> int:
+def _cmd_search(args):
+    """solve's and oracle's result; it holds when a solution was found."""
     problem = load_problem(args.file)
-    outcome = solve(problem, cap=args.cap)
-    return _print_outcome(outcome, args.format)
-
-
-def _cmd_oracle(args) -> int:
-    problem = load_problem(args.file)
-    outcome = brute_force(problem)
-    return _print_outcome(outcome, args.format)
+    outcome = solve(problem, cap=args.cap) if args.command == "solve" else brute_force(problem)
+    return outcome, bool(outcome.solutions), outcome.diagnostics
 
 
 def _load_solution(args):
@@ -104,51 +93,38 @@ def _load_solution(args):
     return problem, doc.assignment()
 
 
-def _cmd_verify(args) -> int:
-    problem, solution = _load_solution(args)
-    result = verify_solution(problem, solution)
-    if args.format == "json":
-        print(json.dumps(result, default=vars))
-    elif result.ok:
-        print("OK")
-    else:
-        print(f"VIOLATION ({result.clause}): {result.detail}")
-    return 0 if result.ok else 1
+def _cmd_verify(args):
+    result = verify_solution(*_load_solution(args))
+    return result, result.ok, []
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
+    # The reports say nothing of the givens, so the certificate decides too.
     problem, solution = _load_solution(args)
     reports = check_necessary(problem, solution)
-    if args.format == "json":
-        print(json.dumps(reports, default=vars))
-    else:
-        for report in reports:
-            print(_report_line(report))
-    return 0 if all(r.holds for r in reports) else 1
+    result = verify_solution(problem, solution)
+    notes = [_verdict(result)] if result.clause == "given" else []
+    return reports, result.ok and all(r.holds for r in reports), notes
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args):
     n = args.n
     if args.regions is not None and args.pi != 3:
         raise GenSudokuError("--regions applies only with --pi 3")
+    if args.regions is not None:
+        part = load_regions(args.regions)
+        if part.n != n:
+            raise GenSudokuError(f"region grid is {part.n}x{part.n}, requested n is {n}")
+        perm = partition_permutation(part)
+    elif args.pi is not None:
+        canonical = (identity_permutation, transpose_permutation, block_permutation)
+        perm = canonical[args.pi - 1](n)
     if args.pi is None:
         header, matrix = f"A({n})", build_difference_matrix(n)
     else:
-        if args.regions is not None:
-            part = load_regions(args.regions)
-            if part.n != n:
-                raise GenSudokuError(
-                    f"region grid is {part.n}x{part.n}, requested n is {n}"
-                )
-            perm = partition_permutation(part)
-        else:
-            canonical = (identity_permutation, transpose_permutation, block_permutation)
-            perm = canonical[args.pi - 1](n)
         header, matrix = f"A_pi {n}", build_constraint_matrix(n, perm)
-    print(header)
-    for row in matrix.to_dense():
-        print(" ".join(str(v) for v in row))
-    return 0
+    rows = (" ".join(map(str, row)) for row in matrix.to_dense())
+    return "\n".join((header, *rows)), True, []
 
 
 def run_cli(argv=None) -> int:
@@ -158,10 +134,15 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        return args.run(args)
+        result, holds, notes = args.run(args)
+        for note in notes:
+            print(note, file=sys.stderr)
+        text = args.format == "text"
+        print(args.text(result) if text else json.dumps(result, default=vars))
     except (GenSudokuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 def main() -> None:

@@ -18,8 +18,8 @@ stays the public reference they are tested against.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from .errors import (
     DimensionError,
@@ -32,9 +32,6 @@ from .errors import (
     require_int,
 )
 from .matrices import ConstraintMatrix, triangular_sum
-
-if TYPE_CHECKING:
-    from .problems import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -168,8 +165,8 @@ class NecessityReport:
 
     constraint_id: int
     holds: bool
-    reconstructed: Optional[tuple[int, ...]]
-    first_violation: Optional[tuple[int, int, int]]
+    reconstructed: tuple[int, ...] | None
+    first_violation: tuple[int, int, int] | None
     zero_rows: tuple[int, ...]
 
 
@@ -232,7 +229,7 @@ class GivensReport:
     """
 
     ok: bool
-    mismatch: Optional[tuple[int, int, int, int]]
+    mismatch: tuple[int, int, int, int] | None
 
 
 def check_givens(problem: "ProblemSpec", x: Assignment) -> GivensReport:

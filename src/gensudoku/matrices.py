@@ -14,8 +14,8 @@ integer arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     DimensionError,

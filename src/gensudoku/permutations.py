@@ -8,9 +8,9 @@ vector x yields the vector whose i-th component is x[pi^{-1}(i)].
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 from .errors import (
     DimensionError,

@@ -10,10 +10,10 @@ gerechte variants, and rows / columns / columns for Latin squares.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Optional, Sequence
 
 # check_givens/check_necessary are not called here; bench/tracing.py looks them up.
 from .condition import (
@@ -140,7 +140,7 @@ class VerificationResult:
     """
 
     ok: bool
-    clause: Optional[str]
+    clause: str | None
     detail: str
 
 
@@ -185,7 +185,7 @@ class SolveOutcome:
     diagnostics: list[str] = field(default_factory=list)
 
 
-def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> Optional[int]:
+def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> int | None:
     """The first clause a filled grid fails, in one bitmask pass, or None.
 
     A group of n cells holds a permutation of 1..n exactly when the OR of
@@ -212,7 +212,7 @@ def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> Optional[int]:
 
 def solve(
     problem: ProblemSpec,
-    cap: Optional[int] = None,
+    cap: int | None = None,
     selfcheck: bool = True,
 ) -> SolveOutcome:
     """Depth-first backtracking search on an explicit stack, deterministic order.

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from .condition import Assignment
 from .errors import DimensionError, PuzzleFormatError, SpecError, as_ints, require_instance
@@ -33,9 +32,9 @@ class PuzzleDocument:
 
     n: int
     cells: tuple[int, ...]
-    region_path: Optional[str] = None
+    region_path: str | None = None
     source_name: str = "<string>"
-    first_blank: Optional[tuple[int, int]] = None
+    first_blank: tuple[int, int] | None = None
 
     def __post_init__(self):
         cells = Assignment(self.n, self.cells).cells
@@ -223,7 +222,10 @@ def build_problem(doc: PuzzleDocument) -> ProblemSpec:
     require_instance("doc", doc, PuzzleDocument)
     if doc.region_path is not None:
         # Joining drops the directory before an absolute region path.
-        part = load_regions(Path(doc.source_name).parent / doc.region_path)
+        try:
+            part = load_regions(Path(doc.source_name).parent / doc.region_path)
+        except OSError as exc:  # at line 2, the only line 'regions' may stand on
+            raise PuzzleFormatError(str(exc), 2, source_name=doc.source_name) from exc
         if part.n != doc.n:
             sizes = f"region grid is {part.n}x{part.n}, puzzle is {doc.n}x{doc.n}"
             raise PuzzleFormatError(sizes, 1, source_name=doc.source_name)

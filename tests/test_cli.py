@@ -236,6 +236,16 @@ class TestCheckCommand:
         )
         assert all(r["holds"] for r in reports)
 
+    def test_contradicted_given_is_a_note_and_exits_1(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", "n 4\n4 0 0 0\n" + "0 0 0 0\n" * 3)
+        solved = write(tmp_path, "s.txt", CLASSIC4_SOLVED)
+        assert run_cli(["verify", puzzle, solved]) == 1
+        verdict = capsys.readouterr().out
+        assert verdict == "VIOLATION (given): cell 1 holds 1, given is 4\n"
+        assert run_cli(["check", puzzle, solved]) == 1
+        holds = "".join(f"constraint {k}: HOLDS\n" for k in (1, 2, 3))
+        assert capsys.readouterr() == (holds, verdict)
+
 
 class TestSolveCommand:
     def test_two_solutions(self, tmp_path, capsys):
@@ -418,16 +428,26 @@ class TestJsonBytes:
         assert capsys.readouterr().out == json.dumps(asdict(result)) + "\n"
 
     @pytest.mark.parametrize(
-        "solution,shift,field",
+        "puzzle,solution,shift,field,code,err",
         [
-            (LATIN3_SOLVED, 0, "holds"),
-            (LATIN3_SOLVED, -1, "first_violation"),
-            ("n 3\n1 1 1\n1 1 1\n1 1 1\n", 0, "zero_rows"),
+            (LATIN3_PUZZLE, LATIN3_SOLVED, 0, "holds", 0, ""),
+            (LATIN3_PUZZLE, LATIN3_SOLVED, -1, "first_violation", 1, ""),
+            (LATIN3_PUZZLE, "n 3\n1 1 1\n1 1 1\n1 1 1\n", 0, "zero_rows", 1, ""),
+            (
+                "n 3\n1 0 0\n0 0 0\n0 0 0\n",
+                LATIN3_SOLVED,
+                0,
+                "holds",
+                1,
+                "VIOLATION (given): cell 1 holds 2, given is 1\n",
+            ),
         ],
-        ids=["holds", "first_violation", "zero_rows"],
+        ids=["holds", "first_violation", "zero_rows", "given"],
     )
-    def test_check(self, tmp_path, capsys, monkeypatch, solution, shift, field):
-        path = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+    def test_check(
+        self, tmp_path, capsys, monkeypatch, puzzle, solution, shift, field, code, err
+    ):
+        path = write(tmp_path, "p.txt", puzzle)
         solved = write(tmp_path, "s.txt", solution)
         # Values 0..2 are distinct per group, so each reconstructs to 1..3.
         cells = tuple(v + shift for v in load_puzzle(solved).assignment().cells)
@@ -435,9 +455,8 @@ class TestJsonBytes:
         assert all(getattr(r, field) for r in reports)
         if shift:
             monkeypatch.setattr(gensudoku.cli, "check_necessary", lambda p, x: reports)
-        code = 0 if all(r.holds for r in reports) else 1
         assert run_cli(["check", path, solved, "--format", "json"]) == code
-        assert capsys.readouterr().out == json.dumps([asdict(r) for r in reports]) + "\n"
+        assert capsys.readouterr() == (json.dumps([asdict(r) for r in reports]) + "\n", err)
 
 
 class TestErrors:
@@ -579,6 +598,16 @@ class TestErrors:
                 f"error: {solved}: {where}: "
                 "grid has blank cells, not a full assignment\n"
             )
+
+    def test_missing_region_file_names_the_puzzle_and_line_2(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", "n 3\nregions none.txt\n0 0 0\n0 0 0\n0 0 0\n")
+        solved = write(tmp_path, "s.txt", LATIN3_SOLVED)
+        for argv in (["solve", puzzle], ["oracle", puzzle], ["check", puzzle, solved]):
+            assert run_cli(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {puzzle}: line 2: [Errno 2] ")
+            assert err.endswith(f"{str(tmp_path / 'none.txt')!r}\n")
 
     def test_solution_size_mismatch_names_the_solution(self, tmp_path, capsys):
         small = (CLASSIC4_PUZZLE, CLASSIC4_SOLVED, 4)

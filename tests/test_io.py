@@ -233,6 +233,16 @@ class TestEntryTypes:
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "missing.txt")
 
+    def test_missing_region_file_is_a_format_error_at_line_2(self, tmp_path):
+        puzzle = tmp_path / "p.txt"
+        puzzle.write_text("n 2\nregions none.txt\n0 0\n0 0\n")
+        with pytest.raises(PuzzleFormatError) as info:
+            load_problem(puzzle)
+        exc = info.value
+        assert (exc.source_name, exc.line, exc.column) == (str(puzzle), 2, None)
+        assert isinstance(exc.__cause__, FileNotFoundError)
+        assert exc.__cause__.filename == str(tmp_path / "none.txt")
+
     @pytest.mark.parametrize("parse", [parse_puzzle, parse_dot_string, parse_regions])
     def test_parsers_need_str_text_and_source_name(self, parse):
         with pytest.raises(InputTypeError, match="text must be a str, got NoneType$"):

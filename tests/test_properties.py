@@ -6,7 +6,9 @@ its nodes and solution order are those of the reference search.
 Any text given to a parser yields a document or a typed format error, and
 each line and column it reports points at the text it names.  ``run_cli``
 on generated puzzle, region and solution files (n <= 4, or arbitrary bytes)
-returns an exit code of 0, 1 or 2 and raises nothing.  A public constructor
+returns an exit code of 0, 1 or 2 and raises nothing; ``check`` and
+``verify`` exit alike on each puzzle and solution, and each ``error:`` line
+starts with a file the request reads.  A public constructor
 or free function (``solve``, ``gsgn``, the sign sums, ``reconstruct``, the
 permutation and matrix builders, the rank, the checkers, ``render_tableau``,
 the parsers, ``build_problem`` and it on a ``PuzzleDocument`` built from the
@@ -208,6 +210,41 @@ def test_cli_exits_0_1_or_2_on_generated_files(request):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@st.composite
+def puzzle_and_solution(draw):
+    """Puzzle, region and solution files of one order; the puzzle is often
+    the solution with blanks, so check and verify also see grids that fit."""
+    n = draw(st.integers(2, 4))
+    cells = draw(grids(n))
+    source = cells if draw(st.booleans()) else draw(grids(n))
+    blanks = draw(st.sets(st.integers(0, n * n - 1)))
+    puzzle = [0 if i in blanks else v for i, v in enumerate(source)]
+    return {
+        "p.txt": draw(grid_file(n, puzzle)),
+        "r.txt": draw(region_file(n)),
+        "s.txt": draw(grid_file(n, cells)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(puzzle_and_solution())
+def test_check_and_verify_agree_and_every_error_names_a_file(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        # A region path the system cannot open at all is named itself.
+        named = [str(Path(tmp) / name) for name in (*files, "a\x00b")]
+        codes = {}
+        for command in ("check", "verify"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes[command] = run_cli([command, named[0], named[2]])
+            for line in err.getvalue().splitlines():
+                if line.startswith("error:"):
+                    assert any(line.startswith(f"error: {path}: ") for path in named), line
+    assert codes["check"] == codes["verify"]
 
 
 @st.composite

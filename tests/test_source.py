@@ -4,10 +4,15 @@ Behaviour must not hide in statements ``python -O`` strips, every error the
 package raises must be a typed ``GenSudokuError``, no function may recurse,
 so no input's size is bounded by the interpreter's recursion limit, the
 solver certifies by one route, leaving the others to the tests as oracles,
-and every exported name is used by the package or the acceptance criteria.
+every exported name is used by the package or the acceptance criteria, only
+``run_cli`` writes the CLI's output, and importing the CLI loads no
+``typing``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -145,3 +150,23 @@ def test_every_export_is_used_by_the_package_or_the_criteria():
         if not isinstance(getattr(gensudoku, name), types.ModuleType)
     }
     assert sorted(exported - used) == []
+
+
+def test_only_run_cli_writes_in_the_cli():
+    path = PACKAGE_DIR / "cli.py"
+    found = [
+        f"{top.name}:{node.lineno}"
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(top, ast.FunctionDef) and top.name != "run_cli"
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+    ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_typing():
+    # -S keeps site (and whatever it imports) out of the measured process.
+    code = "import sys, gensudoku.cli; sys.exit('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    assert subprocess.run([sys.executable, "-S", "-c", code], env=env).returncode == 0
