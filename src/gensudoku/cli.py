@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .condition import check_necessary
-from .errors import GenSudokuError, PuzzleFormatError
+from .errors import GenSudokuError, PuzzleFormatError, SearchSpaceError
 from .matrices import build_constraint_matrix, build_difference_matrix
 from .permutations import (
     block_permutation,
@@ -79,7 +80,10 @@ def _check_text(reports) -> str:
 def _cmd_search(args):
     """solve's and oracle's result; it holds when a solution was found."""
     problem = load_problem(args.file)
-    outcome = solve(problem, cap=args.cap) if args.command == "solve" else brute_force(problem)
+    try:
+        outcome = solve(problem, cap=args.cap) if args.command == "solve" else brute_force(problem)
+    except SearchSpaceError as exc:  # named as the puzzle's format errors name it
+        raise SearchSpaceError(f"{Path(args.file)}: {exc}") from exc
     return outcome, bool(outcome.solutions), outcome.diagnostics
 
 

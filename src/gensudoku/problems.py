@@ -491,27 +491,27 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
     """Exhaustive fill-in enumeration filtered by the library's certificate.
 
     Independent of ``solve``'s search: no propagation, no pruning beyond the
-    fixed givens.  Every fill of the free cells with values 1..n counts as
-    a node and is tested by ``_first_fault``; an Assignment is built only
-    for a fill it accepts.  Refuses when n ** free_cells exceeds
-    BRUTE_FORCE_LIMIT.
+    fixed givens.  One ``product`` over each cell's choices (its given, or
+    1..n) yields every whole grid, the last cell fastest.  Each grid is a
+    node tested by ``_first_fault``; an Assignment is built only for a grid
+    it accepts.  Refuses when n ** free_cells exceeds BRUTE_FORCE_LIMIT.
     """
     require_instance("problem", problem, ProblemSpec)
     n = problem.n
     given_map = dict(problem.givens)
-    free = [i for i in range(n * n) if i + 1 not in given_map]
-    space = n ** len(free)
-    if space > BRUTE_FORCE_LIMIT:
+    free = n * n - len(given_map)
+    if n**free > BRUTE_FORCE_LIMIT:
         raise SearchSpaceError(
-            f"{n}^{len(free)} candidate fill-ins exceed the {BRUTE_FORCE_LIMIT} bound"
+            f"{n}^{free} candidate fill-ins exceed the {BRUTE_FORCE_LIMIT} bound"
         )
-    outcome = SolveOutcome(nodes_explored=space, exhausted=True)
-    base = [given_map.get(i + 1, 0) for i in range(n * n)]
-    for fill in product(range(1, n + 1), repeat=len(free)):
-        for cell, value in zip(free, fill):
-            base[cell] = value
-        if _first_fault(problem, base) is None:
-            outcome.solutions.append(Assignment(n, tuple(base)))
+    outcome = SolveOutcome(nodes_explored=n**free, exhausted=True)
+    choices = [
+        (given_map[i],) if i in given_map else range(1, n + 1)
+        for i in range(1, n * n + 1)
+    ]
+    for grid in product(*choices):
+        if _first_fault(problem, grid) is None:
+            outcome.solutions.append(Assignment(n, grid))
     return outcome
 
 

@@ -365,7 +365,8 @@ class TestOracleCommand:
     def test_refusal_is_input_error(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 4\n" + "\n".join(["0 0 0 0"] * 4))
         assert run_cli(["oracle", puzzle]) == 2
-        assert "error:" in capsys.readouterr().err
+        refusal = "4^16 candidate fill-ins exceed the 100000000 bound"
+        assert capsys.readouterr().err == f"error: {puzzle}: {refusal}\n"
 
 
 class TestJsonBytes:

@@ -33,6 +33,14 @@ from gensudoku import (
 from reference_data import REGION3_GROUPS, X3, reference_verify
 
 REGIONS4 = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
+LATIN3_GRID = (1, 2, 3, 2, 3, 1, 3, 1, 2)
+CLASSIC4_GRID = (1, 2, 3, 4, 3, 4, 1, 2, 2, 1, 4, 3, 4, 3, 2, 1)
+# A classic 4x4 with six blanks, one of the oracle workload's family of grids.
+CLASSIC4_SIX_BLANKS = tuple(
+    (cell, value)
+    for cell, value in enumerate(CLASSIC4_GRID, start=1)
+    if cell not in (1, 6, 8, 11, 13, 16)
+)
 
 
 def count_latin_squares(n, givens=()):
@@ -195,6 +203,9 @@ class TestBruteForce:
             make_latin_spec(3, givens=((1, 1), (2, 2), (3, 3))),
             make_latin_spec(3, givens=((1, 1), (4, 1))),
             make_gerechte_spec(Partition(3, REGION3_GROUPS)),
+            make_latin_spec(3, givens=enumerate(LATIN3_GRID, start=1)),
+            make_latin_spec(3, givens=enumerate(LATIN3_GRID[:8] + (1,), start=1)),
+            make_classic_spec(4, givens=CLASSIC4_SIX_BLANKS),
         ],
     )
     def test_equals_a_product_filter_by_the_reference(self, spec):
@@ -213,6 +224,40 @@ class TestBruteForce:
         assert [s.cells for s in outcome.solutions] == expected
         assert outcome.nodes_explored == nodes
         assert outcome.exhausted
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_latin_spec(3, givens=((1, 1), (2, 2), (3, 3))),
+            make_latin_spec(3, givens=enumerate(LATIN3_GRID, start=1)),
+            make_classic_spec(4, givens=CLASSIC4_SIX_BLANKS),
+        ],
+        ids=["latin3-first-row", "latin3-full", "classic4-six-blanks"],
+    )
+    def test_certifies_every_fill_and_builds_only_accepted_ones(self, spec, monkeypatch):
+        # The bench credits brute_force with n ** free candidates: none may be skipped.
+        certify, build = gensudoku.problems._first_fault, gensudoku.problems.Assignment
+        tested, accepted, built = [], [], []
+
+        def counting(problem, values):
+            tested.append(tuple(values))
+            fault = certify(problem, values)
+            if fault is None:
+                accepted.append(tuple(values))
+            return fault
+
+        def building(n, cells):
+            built.append(tuple(cells))
+            return build(n, cells)
+
+        monkeypatch.setattr(gensudoku.problems, "_first_fault", counting)
+        monkeypatch.setattr(gensudoku.problems, "Assignment", building)
+        outcome = brute_force(spec)
+        n = spec.n
+        assert len(tested) == len(set(tested)) == n ** (n * n - len(spec.givens))
+        assert outcome.nodes_explored == len(tested)
+        assert built == accepted == [s.cells for s in outcome.solutions]
+        assert accepted
 
     def test_latin2(self):
         outcome = brute_force(make_latin_spec(2))
