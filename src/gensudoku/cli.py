@@ -103,12 +103,12 @@ def _cmd_verify(args):
 
 
 def _cmd_check(args):
-    # The reports say nothing of the givens, so the certificate decides too.
+    # The certificate decides: it checks the givens and, on 1..n, every report.
     problem, solution = _load_solution(args)
     reports = check_necessary(problem, solution)
     result = verify_solution(problem, solution)
     notes = [_verdict(result)] if result.clause == "given" else []
-    return reports, result.ok and all(r.holds for r in reports), notes
+    return reports, result.ok, notes
 
 
 def _cmd_matrix(args):
@@ -117,8 +117,9 @@ def _cmd_matrix(args):
         raise GenSudokuError("--regions applies only with --pi 3")
     if args.regions is not None:
         part = load_regions(args.regions)
-        if part.n != n:
-            raise GenSudokuError(f"region grid is {part.n}x{part.n}, requested n is {n}")
+        if part.n != n:  # named as load_regions names the file's own faults
+            sizes = f"region grid is {part.n}x{part.n}, requested n is {n}"
+            raise PuzzleFormatError(sizes, source_name=str(Path(args.regions)))
         perm = partition_permutation(part)
     elif args.pi is not None:
         canonical = (identity_permutation, transpose_permutation, block_permutation)

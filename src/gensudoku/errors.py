@@ -37,8 +37,10 @@ class NotApplicableError(GenSudokuError):
 class ParityError(GenSudokuError):
     """Reconstruction hit an odd intermediate component at 1-based ``index``.
 
-    Unreachable for integer inputs (the sign sums always share the parity of
-    n+1), but checked rather than truncated.
+    A component is n + 1 plus a +-1 sign per row holding its column, so the
+    matrices ``build_difference_matrix`` and ``build_constraint_matrix`` build
+    (n - 1 rows per column) never reach this; a hand-built matrix does when a
+    column's row count has the other parity.
     """
 
     def __init__(self, index, value):

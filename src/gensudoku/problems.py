@@ -251,7 +251,7 @@ def solve(
     total = n * n
     full = ((1 << n) - 1) << 1  # bits 1..n
     groups = problem.distinct_groups
-    values = [0] * total
+    values = [0] * total  # stale at a freed cell until it is placed again
     for cell, value in problem.givens:
         values[cell - 1] = value
     # One sweep over the groups, in constraint order, masks each group's
@@ -261,7 +261,6 @@ def solve(
     group_bits = [0] * total
     peers = [0] * total  # the cells sharing a group with cell i, i among them
     cand = [full] * total  # candidate mask per cell, kept while it is filled
-    inter = [0] * len(groups)  # the groups sharing two or more cells with g
     # A (group, value) pair with at most span places is looked at closely:
     # fewer than two end the pass, and more may lie in another group, which
     # takes no more than the most cells two groups share.
@@ -290,16 +289,12 @@ def solve(
         for cell in group:
             peers[cell] |= mask
             cand[cell] &= ~used
-        inter[gid] = twice
         while twice:
             hbit = twice & -twice
             twice ^= hbit
-            h = hbit.bit_length() - 1
-            inter[h] |= gbit
-            span = max(span, (mask & gmask[h]).bit_count())
+            span = max(span, (mask & gmask[hbit.bit_length() - 1]).bit_count())
     plane = [(1 << total) - 1] * (n + 1)  # bit i: cell i can take v, if free
-    every = (1 << len(groups)) - 1
-    sv = [every] * (n + 1)  # bit g of sv[v]: count the places of v in g
+    sv = [(1 << len(groups)) - 1] * (n + 1)  # bit g of sv[v]: count v's places in g
     by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
     free = 0
     for i, value in enumerate(values):
@@ -332,7 +327,7 @@ def solve(
             # so v leaves h's other cells.  Only stale (group, value) pairs
             # are counted; the lowest group with one of at most one place
             # is then decided from its planes.
-            below = every
+            below = -1
             for v in range(1, n + 1):
                 todo = sv[v] & below
                 if todo:
@@ -348,8 +343,8 @@ def solve(
                                 stop, below = gid, gbit - 1
                                 break
                             # A group h that holds all of p holds its last
-                            # cell and shares two or more cells with g.
-                            hs = inter[gid] & group_bits[p.bit_length() - 1]
+                            # cell, so the partners are that cell's other groups.
+                            hs = group_bits[p.bit_length() - 1] ^ gbit
                             lost = 0
                             while hs:
                                 hbit = hs & -hs
@@ -439,7 +434,6 @@ def solve(
                     value = ~cell
                 else:
                     value = values[cell]
-                    values[cell] = 0
                     free |= 1 << cell
                 plane[value] ^= back
                 bit = 1 << value

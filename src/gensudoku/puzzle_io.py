@@ -198,6 +198,8 @@ def read_text(path: str | Path) -> str:
 
 def load_regions(path: str | os.PathLike) -> Partition:
     """The partition in a region file; see ``parse_regions``."""
+    require_instance("path", path, (str, os.PathLike))
+    path = Path(path)
     return parse_regions(read_text(path), source_name=str(path))
 
 

@@ -17,6 +17,7 @@ from gensudoku import (
     render_tableau,
     solve,
 )
+from gensudoku.puzzle_io import load_regions
 from reference_data import REGION3_GROUPS, X3
 
 BLANK2 = (0, 2, 2, 1)
@@ -221,14 +222,14 @@ class TestBuildProblem:
 
 
 class TestEntryTypes:
-    @pytest.mark.parametrize("load", [load_puzzle, load_problem])
+    @pytest.mark.parametrize("load", [load_puzzle, load_problem, load_regions])
     @pytest.mark.parametrize("path", [None, 3, ("p.txt",)])
     def test_load_needs_a_str_or_path(self, load, path):
         kind = type(path).__name__
         with pytest.raises(InputTypeError, match=f"path must be a str or PathLike, got {kind}$"):
             load(path)
 
-    @pytest.mark.parametrize("load", [load_puzzle, load_problem])
+    @pytest.mark.parametrize("load", [load_puzzle, load_problem, load_regions])
     def test_missing_file_stays_an_os_error(self, load, tmp_path):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "missing.txt")

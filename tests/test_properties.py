@@ -450,9 +450,9 @@ def search_problem(draw):
 @given(search_problem())
 def test_search_nodes_and_order_match_the_reference_search(problem):
     # The low mask, the dead flag, the stale (group, value) marks and the
-    # table of groups sharing two cells only skip work: every node, in
-    # order, and every solution, in order, stay those of the search that
-    # recounts.
+    # span bound on the pairs checked for locked places only skip work:
+    # every node, in order, and every solution, in order, stay those of the
+    # search that recounts.
     spec, cap = problem
     outcome = solve(spec, cap=cap)
     solutions, nodes, exhausted = reference_search(spec, cap)
