@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .condition import check_necessary
-from .errors import GenSudokuError, PuzzleFormatError, SearchSpaceError
+from .errors import GenSudokuError, PuzzleFormatError, SearchSpaceError, SpecError
 from .matrices import build_constraint_matrix, build_difference_matrix
 from .permutations import (
     block_permutation,
@@ -24,6 +24,8 @@ from .permutations import (
 )
 from .problems import brute_force, solve, verify_solution
 from .puzzle_io import load_problem, load_puzzle, load_regions, render_tableau
+
+MATRIX_DUMP_LIMIT = 10**7  # entries a dense ``matrix`` dump may hold
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, summary, run, text in (
         ("solve", "solve a puzzle file", _cmd_search, _outcome_text),
-        ("verify", "verify a solution file", _cmd_verify, _verdict),
-        ("check", "reconstruction-identity report", _cmd_check, _check_text),
+        ("verify", "verify a solution file", _cmd_solution, _verdict),
+        ("check", "reconstruction-identity report", _cmd_solution, _check_text),
         ("oracle", "brute-force enumeration", _cmd_search, _outcome_text),
     ):
         p_cmd = sub.add_parser(name, help=summary)
@@ -87,34 +89,32 @@ def _cmd_search(args):
     return outcome, bool(outcome.solutions), outcome.diagnostics
 
 
-def _load_solution(args):
-    """The puzzle's problem and the solution file's grid, of the same size."""
+def _cmd_solution(args):
+    """verify's and check's result; the certificate decides whether it holds."""
     problem = load_problem(args.file)
     doc = load_puzzle(args.solution)
     if doc.n != problem.n:
         sizes = f"solution grid is {doc.n}x{doc.n}, puzzle is {problem.n}x{problem.n}"
         raise PuzzleFormatError(sizes, 1, source_name=doc.source_name)
-    return problem, doc.assignment()
-
-
-def _cmd_verify(args):
-    result = verify_solution(*_load_solution(args))
-    return result, result.ok, []
-
-
-def _cmd_check(args):
-    # The certificate decides: it checks the givens and, on 1..n, every report.
-    problem, solution = _load_solution(args)
-    reports = check_necessary(problem, solution)
+    solution = doc.assignment()
     result = verify_solution(problem, solution)
+    if args.command == "verify":
+        return result, result.ok, []
+    # On 1..n the certificate implies every report holds, and it checks the givens.
     notes = [_verdict(result)] if result.clause == "given" else []
-    return reports, result.ok, notes
+    return check_necessary(problem, solution), result.ok, notes
 
 
 def _cmd_matrix(args):
     n = args.n
     if args.regions is not None and args.pi != 3:
         raise GenSudokuError("--regions applies only with --pi 3")
+    # A(n) is n(n-1)/2 x n; A_pi is n blocks of it, n^2(n-1)/2 x n^2.
+    cols = n if args.pi is None else n * n
+    rows = cols * (n - 1) // 2
+    if rows * cols > MATRIX_DUMP_LIMIT:
+        dump = f"{rows}x{cols} matrix dump of {rows * cols} entries"
+        raise SpecError(f"{dump} exceeds the {MATRIX_DUMP_LIMIT} bound")
     if args.regions is not None:
         part = load_regions(args.regions)
         if part.n != n:  # named as load_regions names the file's own faults

@@ -233,12 +233,17 @@ def solve(
     backtrack takes back the slices its branch node saw.  Per value, a bit
     plane holds the free cells that can take it, so a (group, value) place
     count is one AND, and only pairs whose places changed since they last
-    had two or more are counted.  The search stops at the cap or when its
-    stack empties, and builds its outcome at that one exit.  Every emitted
-    solution must pass the certificate (``_first_fault``); one that fails
-    raises SelfCheckError, worded by ``verify_solution``, with the grid.
-    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int,
-    or is below 1, raises InvalidCapError; a ``problem`` that is not a
+    had two or more are counted.  So a missing pair with no stale mark has
+    two or more places: every change of places marks it, and a backtrack
+    resumes only at a branch node whose pass left nothing stale.  The pass
+    walks its stop group for every lower value, and a later value's locked
+    step changes only that value's plane, so the value it stops at is the
+    group's lowest with at most one place.  The search stops at the cap or
+    when its stack empties, and builds its outcome at that one exit.  Every
+    emitted solution must pass the certificate (``_first_fault``); one that
+    fails raises SelfCheckError, worded by ``verify_solution``, with the
+    grid.  ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an
+    int, or is below 1, raises InvalidCapError; a ``problem`` that is not a
     ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
@@ -325,8 +330,8 @@ def solve(
             # take (a hidden single) is placed there outright.  If its
             # places all lie in another group h too, h's v is among them,
             # so v leaves h's other cells.  Only stale (group, value) pairs
-            # are counted; the lowest group with one of at most one place
-            # is then decided from its planes.
+            # are counted; the pass stops at the lowest group with one of
+            # at most one place, and hands over that group and value.
             below = -1
             for v in range(1, n + 1):
                 todo = sv[v] & below
@@ -340,7 +345,7 @@ def solve(
                         count = (p := places & gmask[gid]).bit_count()
                         if count <= span:
                             if count < 2:
-                                stop, below = gid, gbit - 1
+                                stop, below, put = gid, gbit - 1, v
                                 break
                             # A group h that holds all of p holds its last
                             # cell, so the partners are that cell's other groups.
@@ -373,18 +378,11 @@ def solve(
         if stop >= 0:
             # A placed value has no place in the group, so fewer values
             # with a place than free cells leaves a missing value none: a
-            # dead end.  Else the lowest value with one place (found last)
-            # goes there.
+            # dead end.  Else the pass's value has one place and goes there.
             cells = free & gmask[stop]
-            short, mask = cells.bit_count(), 0
-            for v in range(n, 0, -1):
-                p = plane[v] & cells
-                if p:
-                    short -= 1
-                    if not p & (p - 1):
-                        mask, best = 1 << v, p.bit_length() - 1
-            if short:
-                mask = 0
+            held = len([v for v in range(1, n + 1) if plane[v] & cells])
+            mask = 0 if held < cells.bit_count() else 1 << put
+            best = (plane[put] & cells).bit_length() - 1
         elif dead:
             mask = 0
         elif low:

@@ -184,34 +184,32 @@ def render_tableau(x: Assignment) -> str:
     )
 
 
-def read_text(path: str | Path) -> str:
-    """A puzzle, solution or region file's text, decoded as UTF-8.
+def read_text(path: str | os.PathLike) -> tuple[str, str]:
+    """A puzzle, solution or region file's text, decoded as UTF-8, and its name.
 
-    Bytes that are not UTF-8, or a name the system cannot open (one holding
-    a NUL byte), raise PuzzleFormatError naming the path.
+    The name is ``str(Path(path))``.  A path not a str or PathLike raises
+    InputTypeError; bytes not UTF-8, or a NUL in the name, PuzzleFormatError.
     """
+    require_instance("path", path, (str, os.PathLike))
+    name = str(Path(path))
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8"), name
     except ValueError as exc:
-        raise PuzzleFormatError(str(exc), source_name=str(path)) from exc
+        raise PuzzleFormatError(str(exc), source_name=name) from exc
 
 
 def load_regions(path: str | os.PathLike) -> Partition:
     """The partition in a region file; see ``parse_regions``."""
-    require_instance("path", path, (str, os.PathLike))
-    path = Path(path)
-    return parse_regions(read_text(path), source_name=str(path))
+    return parse_regions(*read_text(path))
 
 
 def load_puzzle(path: str | os.PathLike) -> PuzzleDocument:
-    require_instance("path", path, (str, os.PathLike))
-    path = Path(path)
-    text = read_text(path)
+    text, name = read_text(path)
     # One non-blank line that is not an 'n <n>' header is the 81-character form.
     filled = [line.split() for line in text.splitlines() if line.strip()]
     if len(filled) == 1 and filled[0][0] != "n":
-        return parse_dot_string(text, source_name=str(path))
-    return parse_puzzle(text, source_name=str(path))
+        return parse_dot_string(text, name)
+    return parse_puzzle(text, name)
 
 
 def build_problem(doc: PuzzleDocument) -> ProblemSpec:

@@ -515,6 +515,21 @@ def test_a_dead_place_in_a_group_whose_first_cell_is_given():
     assert reference_search(spec) == ([s.cells for s in outcome.solutions], 36, True)
 
 
+def test_a_dead_value_above_the_single_the_pass_stops_at():
+    # At the root the pass stops at row 1 on 3, whose one place is cell 2.
+    # But 4 has no place in the row: cells 3 and 5 are given, and columns
+    # 1, 2, 4 and 6 hold a 4.  So the root is a dead end, with no node.
+    givens = (
+        (3, 6), (5, 5), (8, 4), (10, 3), (13, 4), (15, 5),
+        (17, 2), (18, 3), (22, 4), (29, 3), (30, 4), (31, 3),
+    )
+    spec = make_latin_spec(6, givens)
+    outcome = solve(spec)
+    assert (outcome.solutions, outcome.nodes_explored) == ([], 0)
+    assert outcome.exhausted and outcome.diagnostics == []
+    assert reference_search(spec) == ([], 0, True)
+
+
 def test_places_locked_in_a_region_leave_its_other_cells():
     # Regions fitted to a 6x6 Latin square, 29 cells free.  At the root, 2
     # can go in row 4 only at cells 20-23: 19 holds 5, and 24 shares column

@@ -198,6 +198,42 @@ class TestMatrixCommand:
             assert run_cli(["matrix", *args]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["272"], "36856x272 matrix dump of 10024832 entries"),
+            (["30", "--pi", "1"], "13050x900 matrix dump of 11745000 entries"),
+            (["100000"], "4999950000x100000 matrix dump of 499995000000000 entries"),
+        ],
+    )
+    def test_a_dump_above_the_bound_is_refused_before_it_is_built(
+        self, capsys, monkeypatch, args, message
+    ):
+        def refuse(*_):
+            raise AssertionError("matrix built")
+
+        monkeypatch.setattr(gensudoku.cli, "build_difference_matrix", refuse)
+        monkeypatch.setattr(gensudoku.cli, "build_constraint_matrix", refuse)
+        assert run_cli(["matrix", *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message} exceeds the 10000000 bound\n")
+
+    def test_the_bound_counts_entries(self, capsys, monkeypatch):
+        assert run_cli(["matrix", "9"]) == 0
+        dump = capsys.readouterr().out
+        # A(9) is 36 x 9 entries: at the bound it is dumped, and A(10) is not.
+        monkeypatch.setattr(gensudoku.cli, "MATRIX_DUMP_LIMIT", 324)
+        assert run_cli(["matrix", "9"]) == 0
+        assert capsys.readouterr() == (dump, "")
+        assert run_cli(["matrix", "10"]) == 2
+        refusal = "error: 45x10 matrix dump of 450 entries exceeds the 324 bound\n"
+        assert capsys.readouterr() == ("", refusal)
+        for args, message in (
+            (["0"], "n must be >= 1, got 0"),
+            (["3", "--pi", "3"], "n must be a perfect square >= 4, got 3"),
+        ):
+            assert run_cli(["matrix", *args]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_dump_is_stable(self, capsys):
         run_cli(["matrix", "4"])
         first = capsys.readouterr().out
