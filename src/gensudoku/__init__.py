@@ -10,6 +10,7 @@ from .condition import (
     Assignment,
     GivensReport,
     NecessityReport,
+    ProblemSpec,
     check_givens,
     check_necessary,
     gsgn,
@@ -47,7 +48,6 @@ from .permutations import (
     transpose_permutation,
 )
 from .problems import (
-    ProblemSpec,
     SolveOutcome,
     VerificationResult,
     brute_force,

@@ -25,37 +25,7 @@ from .permutations import (
 from .problems import brute_force, solve, verify_solution
 from .puzzle_io import load_problem, load_puzzle, load_regions, render_tableau
 
-MATRIX_DUMP_LIMIT = 10**7  # entries a dense ``matrix`` dump may hold
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gensudoku",
-        description="Generalized Sudoku engine: solve, verify and check puzzles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, summary, run, text in (
-        ("solve", "solve a puzzle file", _cmd_search, _outcome_text),
-        ("verify", "verify a solution file", _cmd_solution, _verdict),
-        ("check", "reconstruction-identity report", _cmd_solution, _check_text),
-        ("oracle", "brute-force enumeration", _cmd_search, _outcome_text),
-    ):
-        p_cmd = sub.add_parser(name, help=summary)
-        p_cmd.add_argument("file")
-        if name in ("verify", "check"):
-            p_cmd.add_argument("solution")
-        if name == "solve":
-            p_cmd.add_argument("--cap", type=int, default=None, metavar="K")
-        p_cmd.add_argument("--format", choices=["text", "json"], default="text")
-        p_cmd.set_defaults(run=run, text=text)
-
-    p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
-    p_matrix.add_argument("n", type=int)
-    p_matrix.add_argument("--pi", type=int, choices=[1, 2, 3], default=None)
-    p_matrix.add_argument("--regions", default=None, metavar="PATH")
-    p_matrix.set_defaults(run=_cmd_matrix, text=str, format="text")
-    return parser
+OUTPUT_LIMIT = 10**7  # entries a CLI result may print: solutions or a matrix dump
 
 
 def _outcome_text(outcome) -> str:
@@ -82,8 +52,16 @@ def _check_text(reports) -> str:
 def _cmd_search(args):
     """solve's and oracle's result; it holds when a solution was found."""
     problem = load_problem(args.file)
+    bound = OUTPUT_LIMIT // problem.n**2  # solutions a result may print
     try:
-        outcome = solve(problem, cap=args.cap) if args.command == "solve" else brute_force(problem)
+        if args.command == "oracle":
+            outcome = brute_force(problem)
+        else:  # no cap, or one above the bound, searches one past the bound
+            cap = args.cap if args.cap is not None and args.cap <= bound else bound + 1
+            outcome = solve(problem, cap=cap)
+        if len(outcome.solutions) > bound:
+            many = f"more than {bound} solutions of {problem.n**2} cells"
+            raise SearchSpaceError(f"{many} exceed the {OUTPUT_LIMIT} bound; use --cap K")
     except SearchSpaceError as exc:  # named as the puzzle's format errors name it
         raise SearchSpaceError(f"{Path(args.file)}: {exc}") from exc
     return outcome, bool(outcome.solutions), outcome.diagnostics
@@ -112,9 +90,9 @@ def _cmd_matrix(args):
     # A(n) is n(n-1)/2 x n; A_pi is n blocks of it, n^2(n-1)/2 x n^2.
     cols = n if args.pi is None else n * n
     rows = cols * (n - 1) // 2
-    if rows * cols > MATRIX_DUMP_LIMIT:
+    if rows * cols > OUTPUT_LIMIT:
         dump = f"{rows}x{cols} matrix dump of {rows * cols} entries"
-        raise SpecError(f"{dump} exceeds the {MATRIX_DUMP_LIMIT} bound")
+        raise SpecError(f"{dump} exceeds the {OUTPUT_LIMIT} bound")
     if args.regions is not None:
         part = load_regions(args.regions)
         if part.n != n:  # named as load_regions names the file's own faults
@@ -132,10 +110,38 @@ def _cmd_matrix(args):
     return "\n".join((header, *rows)), True, []
 
 
+# Built once, at import: every run_cli call parses with this one parser.
+PARSER = argparse.ArgumentParser(
+    prog="gensudoku",
+    description="Generalized Sudoku engine: solve, verify and check puzzles.",
+)
+sub = PARSER.add_subparsers(dest="command", required=True)
+
+for name, summary, run, render in (
+    ("solve", "solve a puzzle file", _cmd_search, _outcome_text),
+    ("verify", "verify a solution file", _cmd_solution, _verdict),
+    ("check", "reconstruction-identity report", _cmd_solution, _check_text),
+    ("oracle", "brute-force enumeration", _cmd_search, _outcome_text),
+):
+    p_cmd = sub.add_parser(name, help=summary)
+    p_cmd.add_argument("file")
+    if name in ("verify", "check"):
+        p_cmd.add_argument("solution")
+    if name == "solve":
+        p_cmd.add_argument("--cap", type=int, default=None, metavar="K")
+    p_cmd.add_argument("--format", choices=["text", "json"], default="text")
+    p_cmd.set_defaults(run=run, text=render)
+
+p_matrix = sub.add_parser("matrix", help="dump a constraint matrix densely")
+p_matrix.add_argument("n", type=int)
+p_matrix.add_argument("--pi", type=int, choices=[1, 2, 3], default=None)
+p_matrix.add_argument("--regions", default=None, metavar="PATH")
+p_matrix.set_defaults(run=_cmd_matrix, text=str, format="text")
+
+
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

@@ -1,11 +1,12 @@
-"""The generalized sign function and the reconstruction identity.
+"""The model, a problem and an assignment, and its reconstruction identity.
 
 Every in-range assignment whose constraint differences are all nonzero can
 be recovered from the signs of those differences alone:
 
     x = (A^T sgn(A x) + (n+1) * 1) / 2
 
-applied per constraint permutation.  This module provides the sign
+applied per constraint permutation.  This module provides the model's
+problem (``ProblemSpec``) and assignment (``Assignment``), the sign
 function, two independent scalar routes to the column sums (a brute-force
 double sum and its closed form), the reconstruction map, and report-style
 checkers that treat violations as data rather than exceptions.
@@ -18,20 +19,24 @@ stays the public reference they are tested against.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionError,
     InputTypeError,
     NotApplicableError,
     ParityError,
+    SpecError,
     as_ints,
     as_tuple,
+    as_tuples,
     require_instance,
     require_int,
 )
-from .matrices import ConstraintMatrix, triangular_sum
+from .matrices import ConstraintMatrix, build_constraint_matrix, vanishing_rows
+from .permutations import Permutation
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,91 @@ class Assignment:
             raise DimensionError(
                 f"expected {self.n * self.n} cells, got {len(cells)}"
             )
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """Grid size, constraint permutations and givens of one puzzle instance.
+
+    A field of the wrong type (an ``n`` or given that is not an int, a
+    constraint that is not a Permutation) raises InputTypeError; a value
+    out of range, SpecError.
+    """
+
+    n: int
+    constraints: tuple[Permutation, ...]
+    givens: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        n = self.n
+        require_int("n", n)
+        constraints = as_tuple("constraints", self.constraints)
+        givens = as_tuples("givens", self.givens)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "givens", givens)
+        if n < 2:
+            raise SpecError(f"n must be >= 2, got {n}")
+        if not constraints:
+            raise SpecError("at least one constraint permutation is required")
+        for perm in constraints:
+            require_instance("a constraint", perm, Permutation)
+            if perm.size != n * n:
+                raise SpecError(
+                    f"constraint permutation size {perm.size} != n^2 = {n * n}"
+                )
+        seen = set()
+        for given in givens:
+            if len(given) != 2:
+                raise SpecError(f"given {given!r} is not a (cell, value) pair")
+            cell, value = given
+            if type(cell) is not int or type(value) is not int:
+                raise InputTypeError(f"given {given!r} does not hold two ints")
+            if not 1 <= cell <= n * n:
+                raise SpecError(f"given cell {cell} outside 1..{n * n}")
+            if not 1 <= value <= n:
+                raise SpecError(f"given value {value} outside 1..{n}")
+            if cell in seen:
+                raise SpecError(f"duplicate given for cell {cell}")
+            seen.add(cell)
+
+    @cached_property
+    def compiled_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per constraint: the n groups of n cells its blocks tie together.
+
+        Cells are 0-based indices into ``Assignment.cells``; group b of a
+        constraint is the cells its permutation sends block b's columns to.
+        Built on first use and kept for the life of the spec, so every
+        check and search on the spec shares one copy.
+        """
+        n = self.n
+        return tuple(
+            tuple(
+                tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
+                for b in range(n)
+            )
+            for perm in self.constraints
+        )
+
+    def constraint_matrices(self) -> list[ConstraintMatrix]:
+        return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
+
+    def constraint_groups(self) -> list[list[tuple[int, ...]]]:
+        """Per constraint: the n groups of n cells its blocks tie together, 1-based."""
+        return [
+            [tuple(cell + 1 for cell in group) for group in groups]
+            for groups in self.compiled_groups
+        ]
+
+    @cached_property
+    def distinct_groups(self) -> tuple[tuple[int, ...], ...]:
+        """``compiled_groups`` with repeats dropped, in constraint order.
+
+        A group two constraints list (Latin's columns) restricts nothing
+        more and is kept once, at its first place.  The certificate and
+        ``solve`` read only this; ``solve`` builds its group and peer masks
+        from it in its own set-up sweep.
+        """
+        return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
 
 
 def gsgn(y: Sequence[int]) -> tuple[int, ...]:
@@ -123,29 +213,9 @@ def reconstruct(matrix: ConstraintMatrix, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(val // 2 for val in doubled)
 
 
-def vanishing_rows(values: Sequence[int], block: int) -> Iterator[int]:
-    """Yield, ascending, the 1-based constraint matrix rows that vanish in a block.
-
-    ``values`` are the cell values of the constraint's group ``block``
-    (0-based).  The block holds one row per pair (p, m), p < m, in
-    lexicographic order, so the row of a pair is block * n(n-1)/2 plus the
-    pair's lexicographic index, plus 1; it vanishes when the pair's values
-    are equal.
-    """
-    n = len(values)
-    row = block * triangular_sum(n)
-    for p in range(n):
-        for m in range(p + 1, n):
-            row += 1
-            if values[p] == values[m]:
-                yield row
-
-
-def _checked_cells(problem: "ProblemSpec", x: Assignment) -> tuple[int, ...]:
+def _checked_cells(problem: ProblemSpec, x: Assignment) -> tuple[int, ...]:
     """The cells of x, after the type checks and the length check the
     constraint matrices make."""
-    from .problems import ProblemSpec  # problems imports this module
-
     require_instance("problem", problem, ProblemSpec)
     require_instance("x", x, Assignment)
     size = problem.n * problem.n
@@ -170,7 +240,7 @@ class NecessityReport:
     zero_rows: tuple[int, ...]
 
 
-def check_necessary(problem: "ProblemSpec", x: Assignment) -> list[NecessityReport]:
+def check_necessary(problem: ProblemSpec, x: Assignment) -> list[NecessityReport]:
     """Run the reconstruction identity against every constraint.
 
     Violations are reported, never raised; one report per constraint in the
@@ -232,7 +302,7 @@ class GivensReport:
     mismatch: tuple[int, int, int, int] | None
 
 
-def check_givens(problem: "ProblemSpec", x: Assignment) -> GivensReport:
+def check_givens(problem: ProblemSpec, x: Assignment) -> GivensReport:
     """Check every given cell against its reconstruction, per constraint.
 
     Reads ``check_necessary``'s reports.  Raises NotApplicableError, indexed

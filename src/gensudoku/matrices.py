@@ -14,7 +14,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -135,6 +135,24 @@ def build_constraint_matrix(n: int, perm: Permutation) -> ConstraintMatrix:
         for p, m in base
     )
     return ConstraintMatrix(n, n * n, rows)
+
+
+def vanishing_rows(values: Sequence[int], block: int) -> Iterator[int]:
+    """Yield, ascending, the 1-based constraint matrix rows that vanish in a block.
+
+    ``values`` are the cell values of the constraint's group ``block``
+    (0-based).  ``build_constraint_matrix`` gives the block one row per pair
+    (p, m), p < m, in lexicographic order, so the row of a pair is
+    block * n(n-1)/2 plus its lexicographic index, plus 1; it vanishes when
+    the pair's values are equal.
+    """
+    n = len(values)
+    row = block * triangular_sum(n)
+    for p in range(n):
+        for m in range(p + 1, n):
+            row += 1
+            if values[p] == values[m]:
+                yield row
 
 
 def rank_of_difference_matrix(matrix: ConstraintMatrix) -> int:

@@ -1,10 +1,11 @@
-"""Problem definition, verification, backtracking solver and brute-force oracle.
+"""Verification, backtracking solver, brute-force oracle and canonical constructors.
 
-A problem ties together the grid size n, an ordered list of cell
-permutations (each inducing one permuted block constraint matrix) and the
-given cells.  The canonical constructors emit the usual triples: rows /
-columns / subsquares for classic puzzles, rows / columns / regions for
-gerechte variants, and rows / columns / columns for Latin squares.
+A problem (``ProblemSpec``, defined beside ``Assignment`` in ``condition``)
+ties together the grid size n, an ordered list of cell permutations (each
+inducing one permuted block constraint matrix) and the given cells.  The
+canonical constructors emit the usual triples: rows / columns / subsquares
+for classic puzzles, rows / columns / regions for gerechte variants, and
+rows / columns / columns for Latin squares.
 """
 
 from __future__ import annotations
@@ -12,16 +13,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, product
 
-# check_givens/check_necessary are not called here; bench/tracing.py looks them up.
+# check_givens, check_necessary and build_constraint_matrix are not called
+# here; bench/tracing.py looks them up.
 from .condition import (
     Assignment,
+    ProblemSpec,
     _checked_cells,
     check_givens,
     check_necessary,
-    vanishing_rows,
 )
 from .errors import (
     InputTypeError,
@@ -29,15 +30,12 @@ from .errors import (
     SearchSpaceError,
     SelfCheckError,
     SpecError,
-    as_tuple,
-    as_tuples,
     require_instance,
     require_int,
 )
-from .matrices import ConstraintMatrix, build_constraint_matrix
+from .matrices import build_constraint_matrix, vanishing_rows
 from .permutations import (
     Partition,
-    Permutation,
     block_permutation,
     identity_permutation,
     partition_permutation,
@@ -45,91 +43,6 @@ from .permutations import (
 )
 
 BRUTE_FORCE_LIMIT = 10**8
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Grid size, constraint permutations and givens of one puzzle instance.
-
-    A field of the wrong type (an ``n`` or given that is not an int, a
-    constraint that is not a Permutation) raises InputTypeError; a value
-    out of range, SpecError.
-    """
-
-    n: int
-    constraints: tuple[Permutation, ...]
-    givens: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        n = self.n
-        require_int("n", n)
-        constraints = as_tuple("constraints", self.constraints)
-        givens = as_tuples("givens", self.givens)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "givens", givens)
-        if n < 2:
-            raise SpecError(f"n must be >= 2, got {n}")
-        if not constraints:
-            raise SpecError("at least one constraint permutation is required")
-        for perm in constraints:
-            require_instance("a constraint", perm, Permutation)
-            if perm.size != n * n:
-                raise SpecError(
-                    f"constraint permutation size {perm.size} != n^2 = {n * n}"
-                )
-        seen = set()
-        for given in givens:
-            if len(given) != 2:
-                raise SpecError(f"given {given!r} is not a (cell, value) pair")
-            cell, value = given
-            if type(cell) is not int or type(value) is not int:
-                raise InputTypeError(f"given {given!r} does not hold two ints")
-            if not 1 <= cell <= n * n:
-                raise SpecError(f"given cell {cell} outside 1..{n * n}")
-            if not 1 <= value <= n:
-                raise SpecError(f"given value {value} outside 1..{n}")
-            if cell in seen:
-                raise SpecError(f"duplicate given for cell {cell}")
-            seen.add(cell)
-
-    @cached_property
-    def compiled_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per constraint: the n groups of n cells its blocks tie together.
-
-        Cells are 0-based indices into ``Assignment.cells``; group b of a
-        constraint is the cells its permutation sends block b's columns to.
-        Built on first use and kept for the life of the spec, so every
-        check and search on the spec shares one copy.
-        """
-        n = self.n
-        return tuple(
-            tuple(
-                tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
-                for b in range(n)
-            )
-            for perm in self.constraints
-        )
-
-    def constraint_matrices(self) -> list[ConstraintMatrix]:
-        return [build_constraint_matrix(self.n, perm) for perm in self.constraints]
-
-    def constraint_groups(self) -> list[list[tuple[int, ...]]]:
-        """Per constraint: the n groups of n cells its blocks tie together, 1-based."""
-        return [
-            [tuple(cell + 1 for cell in group) for group in groups]
-            for groups in self.compiled_groups
-        ]
-
-    @cached_property
-    def distinct_groups(self) -> tuple[tuple[int, ...], ...]:
-        """``compiled_groups`` with repeats dropped, in constraint order.
-
-        A group two constraints list (Latin's columns) restricts nothing
-        more and is kept once, at its first place.  The certificate and
-        ``solve`` read only this; ``solve`` builds its group and peer masks
-        from it in its own set-up sweep.
-        """
-        return tuple(dict.fromkeys(g for per in self.compiled_groups for g in per))
 
 
 @dataclass(frozen=True)

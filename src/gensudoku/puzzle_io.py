@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .condition import Assignment
+from .condition import Assignment, ProblemSpec
 from .errors import DimensionError, PuzzleFormatError, SpecError, as_ints, require_instance
 from .permutations import Partition
-from .problems import ProblemSpec, make_classic_spec, make_gerechte_spec, make_latin_spec
+from .problems import make_classic_spec, make_gerechte_spec, make_latin_spec
 
 
 @dataclass(frozen=True)

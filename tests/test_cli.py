@@ -221,7 +221,7 @@ class TestMatrixCommand:
         assert run_cli(["matrix", "9"]) == 0
         dump = capsys.readouterr().out
         # A(9) is 36 x 9 entries: at the bound it is dumped, and A(10) is not.
-        monkeypatch.setattr(gensudoku.cli, "MATRIX_DUMP_LIMIT", 324)
+        monkeypatch.setattr(gensudoku.cli, "OUTPUT_LIMIT", 324)
         assert run_cli(["matrix", "9"]) == 0
         assert capsys.readouterr() == (dump, "")
         assert run_cli(["matrix", "10"]) == 2
@@ -331,6 +331,45 @@ class TestSolveCommand:
         first = capsys.readouterr().out
         run_cli(["solve", puzzle])
         assert capsys.readouterr().out == first
+
+    def test_the_bound_counts_solution_entries(self, tmp_path, capsys, monkeypatch):
+        # The empty classic 4x4 has 288 solutions of 16 cells: 4,608 entries.
+        puzzle = write(tmp_path, "e4.txt", CLASSIC4_PUZZLE)
+        assert run_cli(["solve", puzzle, "--cap", "2"]) == 0
+        capped = capsys.readouterr()
+        monkeypatch.setattr(gensudoku.cli, "OUTPUT_LIMIT", 288 * 16)
+        assert run_cli(["solve", puzzle]) == 0
+        out = capsys.readouterr().out
+        assert out.count("solution ") == 288
+        assert out.endswith("solutions 288 nodes 2272 exhausted true\n")
+        monkeypatch.setattr(gensudoku.cli, "OUTPUT_LIMIT", 288 * 16 - 1)
+        assert run_cli(["solve", puzzle]) == 2
+        refusal = "more than 287 solutions of 16 cells exceed the 4607 bound; use --cap K"
+        assert capsys.readouterr() == ("", f"error: {puzzle}: {refusal}\n")
+        assert run_cli(["solve", puzzle, "--cap", "2"]) == 0
+        assert capsys.readouterr() == capped
+        assert run_cli(["solve", puzzle, "--cap", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: cap must be >= 1, got 0\n")
+
+    def test_requests_share_no_state(self, tmp_path, capsys):
+        puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
+        assert run_cli(["solve", puzzle, "--cap", "1"]) == 0
+        assert capsys.readouterr().out.endswith("solutions 1 nodes 4 exhausted false\n")
+        assert run_cli(["solve", puzzle]) == 0
+        assert capsys.readouterr().out.endswith("solutions 2 nodes 8 exhausted true\n")
+
+    def test_the_parser_is_built_at_import(self, tmp_path, capsys, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("parser built per request")
+
+        monkeypatch.setattr(gensudoku.cli.argparse, "ArgumentParser", refuse)
+        monkeypatch.setenv("COLUMNS", "80")
+        puzzle = write(tmp_path, "p.txt", LATIN2_PUZZLE)
+        assert run_cli(["solve", puzzle, "--cap", "1"]) == 0
+        assert "solutions 1" in capsys.readouterr().out
+        argv, code, out, err = HELP_PAGES[1]
+        assert run_cli(argv) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestVerifyCommand:

@@ -5,8 +5,9 @@ package raises must be a typed ``GenSudokuError``, no function may recurse,
 so no input's size is bounded by the interpreter's recursion limit, the
 solver certifies by one route, leaving the others to the tests as oracles,
 every exported name is used by the package or the acceptance criteria, only
-``run_cli`` writes the CLI's output, and importing the CLI loads no
-``typing``.
+``run_cli`` writes the CLI's output, importing the CLI loads no ``typing``,
+and the modules import one way, along one chain, with no import inside a
+function.
 """
 
 import ast
@@ -170,3 +171,28 @@ def test_importing_the_cli_loads_no_typing():
     code = "import sys, gensudoku.cli; sys.exit('typing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
     assert subprocess.run([sys.executable, "-S", "-c", code], env=env).returncode == 0
+
+
+# Each module imports only modules before it: the model (ProblemSpec and
+# Assignment, in condition) comes before what verifies, solves, reads and
+# prints it.
+IMPORT_CHAIN = ("errors", "permutations", "matrices", "condition", "problems", "puzzle_io", "cli")
+
+
+def test_imports_run_one_way_and_never_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{inner.lineno} imports inside {node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.level and module != "__init__":
+                earlier = IMPORT_CHAIN[: IMPORT_CHAIN.index(module)]
+                if node.module not in earlier:
+                    found.append(f"{path.name}:{node.lineno} imports .{node.module}")
+    assert found == []
