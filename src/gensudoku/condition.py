@@ -20,7 +20,6 @@ stays the public reference they are tested against.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     InputTypeError,
     NotApplicableError,
     ParityError,
+    Record,
     SpecError,
     as_ints,
     as_tuple,
@@ -39,50 +39,41 @@ from .matrices import ConstraintMatrix, build_constraint_matrix, vanishing_rows
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """Candidate cell values, tableau row-major, length n^2.
 
     ``n`` and every cell must be an int, not a ``bool``; anything else
     raises InputTypeError, so every check compares and shifts ints.
     """
 
-    n: int
-    cells: tuple[int, ...]
+    __match_args__ = ("n", "cells")
 
-    def __post_init__(self):
-        require_int("n", self.n)
-        cells = as_tuple("cells", self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, n: int, cells: tuple[int, ...]):
+        require_int("n", n)
+        cells = as_tuple("cells", cells)
         if not {int}.issuperset(map(type, cells)):
             i, value = next((i, v) for i, v in enumerate(cells, 1) if type(v) is not int)
             raise InputTypeError(f"cell {i} must be an int, got {type(value).__name__}")
-        if len(cells) != self.n * self.n:
-            raise DimensionError(
-                f"expected {self.n * self.n} cells, got {len(cells)}"
-            )
+        if len(cells) != n * n:
+            raise DimensionError(f"expected {n * n} cells, got {len(cells)}")
+        object.__setattr__(self, "n", n)  # built per solution, so without a _set call
+        object.__setattr__(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Grid size, constraint permutations and givens of one puzzle instance.
+class ProblemSpec(Record):
+    """Grid size, constraint permutations and (cell, value) givens of one puzzle.
 
     A field of the wrong type (an ``n`` or given that is not an int, a
     constraint that is not a Permutation) raises InputTypeError; a value
     out of range, SpecError.
     """
 
-    n: int
-    constraints: tuple[Permutation, ...]
-    givens: tuple[tuple[int, int], ...] = ()
+    __match_args__ = ("n", "constraints", "givens")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, constraints: tuple[Permutation, ...], givens: tuple = ()):
         require_int("n", n)
-        constraints = as_tuple("constraints", self.constraints)
-        givens = as_tuples("givens", self.givens)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "givens", givens)
+        constraints = as_tuple("constraints", constraints)
+        givens = as_tuples("givens", givens)
         if n < 2:
             raise SpecError(f"n must be >= 2, got {n}")
         if not constraints:
@@ -90,9 +81,7 @@ class ProblemSpec:
         for perm in constraints:
             require_instance("a constraint", perm, Permutation)
             if perm.size != n * n:
-                raise SpecError(
-                    f"constraint permutation size {perm.size} != n^2 = {n * n}"
-                )
+                raise SpecError(f"constraint permutation size {perm.size} != n^2 = {n * n}")
         seen = set()
         for given in givens:
             if len(given) != 2:
@@ -107,6 +96,7 @@ class ProblemSpec:
             if cell in seen:
                 raise SpecError(f"duplicate given for cell {cell}")
             seen.add(cell)
+        self._set(n, constraints, givens)
 
     @cached_property
     def compiled_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -224,20 +214,19 @@ def _checked_cells(problem: ProblemSpec, x: Assignment) -> tuple[int, ...]:
     return x.cells
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(Record):
     """Outcome of the reconstruction identity for one constraint.
 
     ``first_violation`` is (cell index, expected, actual).  ``holds`` is
     true exactly when no difference vanished and the reconstruction equals
-    the assignment componentwise.
+    the assignment componentwise.  When some did, ``zero_rows`` lists them
+    and ``reconstructed`` and ``first_violation`` are None.
     """
 
-    constraint_id: int
-    holds: bool
-    reconstructed: tuple[int, ...] | None
-    first_violation: tuple[int, int, int] | None
-    zero_rows: tuple[int, ...]
+    __match_args__ = ("constraint_id", "holds", "reconstructed", "first_violation", "zero_rows")
+
+    def __init__(self, constraint_id, holds, reconstructed, first_violation, zero_rows):
+        self._set(constraint_id, holds, reconstructed, first_violation, zero_rows)
 
 
 def check_necessary(problem: ProblemSpec, x: Assignment) -> list[NecessityReport]:
@@ -290,16 +279,17 @@ def check_necessary(problem: ProblemSpec, x: Assignment) -> list[NecessityReport
     return reports
 
 
-@dataclass(frozen=True)
-class GivensReport:
+class GivensReport(Record):
     """Whether the reconstructed values match the problem's givens.
 
     ``mismatch`` is (constraint_id, cell index, expected given, reconstructed)
     for the first failure, None when everything matches.
     """
 
-    ok: bool
-    mismatch: tuple[int, int, int, int] | None
+    __match_args__ = ("ok", "mismatch")
+
+    def __init__(self, ok: bool, mismatch: tuple[int, int, int, int] | None):
+        self._set(ok, mismatch)
 
 
 def check_givens(problem: ProblemSpec, x: Assignment) -> GivensReport:

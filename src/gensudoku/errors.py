@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the type checks that raise one."""
+"""Exception types shared across the package, the type checks that raise one,
+and ``Record``, the base of the model's value classes."""
 
 
 class GenSudokuError(Exception):
@@ -133,3 +134,32 @@ def as_tuples(what: str, rows) -> tuple[tuple, ...]:
         return tuple(map(tuple, rows))
     except TypeError:
         raise InputTypeError(f"{what} must be an iterable of iterables") from None
+
+
+class Record:
+    """A value whose ``__init__`` checks its fields, then stores them in ``__match_args__``
+    order with ``_set``.  ``==`` (same class only), hash and repr read those fields
+    alone, not ``__dict__``; setting or deleting an attribute raises AttributeError."""
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__

@@ -15,11 +15,11 @@ integer arithmetic.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .errors import (
     DimensionError,
     InvalidPermutationError,
+    Record,
     SpecError,
     as_ints,
     as_tuples,
@@ -37,8 +37,7 @@ def triangular_sum(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
+class ConstraintMatrix(Record):
     """Sparse matrix over alphabet size n whose every row reads x_plus - x_minus.
 
     ``rows`` holds each row's 1-based (plus, minus) column pair, in row
@@ -48,22 +47,20 @@ class ConstraintMatrix:
     densely except on demand.
     """
 
-    n: int
-    column_count: int
-    rows: tuple[tuple[int, int], ...]
+    __match_args__ = ("n", "column_count", "rows")
 
-    def __post_init__(self):
-        require_int("n", self.n)
-        require_int("column_count", self.column_count)
-        rows, count = as_tuples("rows", self.rows), self.column_count
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, n: int, column_count: int, rows: tuple[tuple[int, int], ...]):
+        require_int("n", n)
+        require_int("column_count", column_count)
+        rows = as_tuples("rows", rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != 2:
                 raise SpecError(f"row {i} must be a (plus, minus) pair, got {row!r}")
             plus, minus = as_ints(f"row {i}", row)
-            if plus == minus or not (1 <= plus <= count and 1 <= minus <= count):
-                message = f"row {i} must join two distinct columns in 1..{count}"
+            if plus == minus or not (1 <= plus <= column_count and 1 <= minus <= column_count):
+                message = f"row {i} must join two distinct columns in 1..{column_count}"
                 raise SpecError(f"{message}, got {row!r}")
+        self._set(n, column_count, rows)
 
     @property
     def row_count(self) -> int:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
     DimensionError,
     InvalidPartitionError,
     InvalidPermutationError,
+    Record,
     as_ints,
     as_tuple,
     as_tuples,
@@ -24,20 +24,18 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Bijection on {1, ..., size}; ``images[i-1]`` is the image of i."""
 
-    images: tuple[int, ...]
+    __match_args__ = ("images",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", as_tuple("images", self.images))
-        size = len(self.images)
-        ints = all(type(img) is int for img in self.images)  # sorted() fails on str
-        if not ints or sorted(self.images) != list(range(1, size + 1)):
-            raise InvalidPermutationError(
-                f"images {self.images!r} are not a bijection on 1..{size}"
-            )
+    def __init__(self, images: tuple[int, ...]):
+        images = as_tuple("images", images)
+        ints = all(type(img) is int for img in images)  # sorted() fails on str
+        if not ints or sorted(images) != list(range(1, len(images) + 1)):
+            message = f"images {images!r} are not a bijection on 1..{len(images)}"
+            raise InvalidPermutationError(message)
+        self._set(images)
 
     @property
     def size(self) -> int:
@@ -66,46 +64,35 @@ class Permutation:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """n groups of n cells each, jointly covering {1, ..., n^2}.
 
     Group order is the caller's order (it fixes the layout of the induced
     constraint matrix); cells within each group are kept strictly ascending.
     """
 
-    n: int
-    groups: tuple[tuple[int, ...], ...]
+    __match_args__ = ("n", "groups")
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", as_tuples("groups", self.groups))
-        n = self.n
+    def __init__(self, n: int, groups: tuple[tuple[int, ...], ...]):
+        groups = as_tuples("groups", groups)
         require_int("n", n)
-        if len(self.groups) != n:
-            raise InvalidPartitionError(
-                f"expected {n} groups, got {len(self.groups)}"
-            )
+        if len(groups) != n:
+            raise InvalidPartitionError(f"expected {n} groups, got {len(groups)}")
         seen = [False] * (n * n + 1)
-        for group in self.groups:
+        for group in groups:
             if len(group) != n:
-                raise InvalidPartitionError(
-                    f"group {group!r} has {len(group)} cells, expected {n}"
-                )
+                message = f"group {group!r} has {len(group)} cells, expected {n}"
+                raise InvalidPartitionError(message)
             for prev, cell in zip((None,) + group, group):
                 if type(cell) is not int or not 1 <= cell <= n * n:
-                    raise InvalidPartitionError(
-                        f"cell {cell!r} outside 1..{n * n}", cell=cell
-                    )
+                    raise InvalidPartitionError(f"cell {cell!r} outside 1..{n * n}", cell=cell)
                 if seen[cell]:
-                    raise InvalidPartitionError(
-                        f"cell {cell} appears in two groups", cell=cell
-                    )
+                    raise InvalidPartitionError(f"cell {cell} appears in two groups", cell=cell)
                 if prev is not None and prev >= cell:
-                    raise InvalidPartitionError(
-                        f"cells within a group must ascend, got {prev} before {cell}",
-                        cell=cell,
-                    )
+                    message = f"cells within a group must ascend, got {prev} before {cell}"
+                    raise InvalidPartitionError(message, cell=cell)
                 seen[cell] = True
+        self._set(n, groups)
 
 
 def identity_permutation(n: int) -> Permutation:

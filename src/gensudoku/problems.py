@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, product
 
 # check_givens, check_necessary and build_constraint_matrix are not called
@@ -27,6 +26,7 @@ from .condition import (
 from .errors import (
     InputTypeError,
     InvalidCapError,
+    Record,
     SearchSpaceError,
     SelfCheckError,
     SpecError,
@@ -45,16 +45,16 @@ from .permutations import (
 BRUTE_FORCE_LIMIT = 10**8
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     """First failed clause of the defining system, if any.
 
     ``clause`` is one of 'range', 'constraint', 'given' or None when ok.
     """
 
-    ok: bool
-    clause: str | None
-    detail: str
+    __match_args__ = ("ok", "clause", "detail")
+
+    def __init__(self, ok: bool, clause: str | None, detail: str):
+        self._set(ok, clause, detail)
 
 
 def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
@@ -88,14 +88,16 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
     return VerificationResult(False, "given", detail)
 
 
-@dataclass
-class SolveOutcome:
-    """Solutions found (up to a cap), node count, and completeness flag."""
+class SolveOutcome(Record):
+    """Solutions found (up to a cap), node count, and completeness flag; mutable, so
+    unhashable.  ``solutions`` and ``diagnostics`` are new empty lists by default."""
 
-    solutions: list[Assignment] = field(default_factory=list)
-    nodes_explored: int = 0
-    exhausted: bool = False
-    diagnostics: list[str] = field(default_factory=list)
+    __match_args__ = ("solutions", "nodes_explored", "exhausted", "diagnostics")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, solutions=None, nodes_explored=0, exhausted=False, diagnostics=None):
+        solutions = [] if solutions is None else solutions
+        self._set(solutions, nodes_explored, exhausted, [] if diagnostics is None else diagnostics)
 
 
 def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> int | None:

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 from .condition import Assignment, ProblemSpec
-from .errors import DimensionError, PuzzleFormatError, SpecError, as_ints, require_instance
+from .errors import DimensionError, PuzzleFormatError, Record, SpecError, as_ints, require_instance
 from .permutations import Partition
 from .problems import make_classic_spec, make_gerechte_spec, make_latin_spec
 
 
-@dataclass(frozen=True)
-class PuzzleDocument:
+class PuzzleDocument(Record):
     """Parsed puzzle file: row-major cells with 0 for blanks, optional region path.
 
     ``first_blank`` is the (line, column) where the parser read the first
@@ -30,24 +28,20 @@ class PuzzleDocument:
     built: ``n`` and the n^2 cells as ``Assignment`` checks them, in 0..n.
     """
 
-    n: int
-    cells: tuple[int, ...]
-    region_path: str | None = None
-    source_name: str = "<string>"
-    first_blank: tuple[int, int] | None = None
+    __match_args__ = ("n", "cells", "region_path", "source_name", "first_blank")
 
-    def __post_init__(self):
-        cells = Assignment(self.n, self.cells).cells
-        object.__setattr__(self, "cells", cells)
-        if not set(cells) <= set(range(self.n + 1)):
-            i, value = next((i, v) for i, v in enumerate(cells, 1) if not 0 <= v <= self.n)
-            raise SpecError(f"cell {i} holds {value}, outside 0..{self.n}")
-        require_instance("region_path", self.region_path, (str, type(None)))
-        require_instance("source_name", self.source_name, str)
-        if self.first_blank is not None:
-            object.__setattr__(self, "first_blank", as_ints("first_blank", self.first_blank))
-            if len(self.first_blank) != 2:
-                raise DimensionError(f"first_blank must be 2 ints, got {self.first_blank}")
+    def __init__(self, n, cells, region_path=None, source_name="<string>", first_blank=None):
+        cells = Assignment(n, cells).cells
+        if not set(cells) <= set(range(n + 1)):
+            i, value = next((i, v) for i, v in enumerate(cells, 1) if not 0 <= v <= n)
+            raise SpecError(f"cell {i} holds {value}, outside 0..{n}")
+        require_instance("region_path", region_path, (str, type(None)))
+        require_instance("source_name", source_name, str)
+        if first_blank is not None:
+            first_blank = as_ints("first_blank", first_blank)
+            if len(first_blank) != 2:
+                raise DimensionError(f"first_blank must be 2 ints, got {first_blank}")
+        self._set(n, cells, region_path, source_name, first_blank)
 
     def givens(self) -> tuple[tuple[int, int], ...]:
         """Non-blank cells as (row-major 1-based index, value) pairs."""
