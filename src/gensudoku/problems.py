@@ -24,7 +24,6 @@ from .condition import (
     check_necessary,
 )
 from .errors import (
-    InputTypeError,
     InvalidCapError,
     Record,
     SearchSpaceError,
