@@ -138,7 +138,8 @@ def solve(
     in order with a value no free cell there can take (a dead end) or that
     only one can take (placed there).  When the places of v in group g all
     lie in another group h, the pass takes v from h's other cells at once
-    (locked places), which may leave a cell with one candidate or none.
+    (locked places), which may leave a cell with one candidate or none; as h
+    it tries only the groups holding both the first and the last place.
     Failing all of these, the free cell with the fewest candidates, lowest
     index on ties, is branched on, values ascending.  It is read off
     ``n.bit_length()`` bit slices of the free cells' candidate counts, from
@@ -147,17 +148,18 @@ def solve(
     backtrack takes back the slices its branch node saw.  Per value, a bit
     plane holds the free cells that can take it, so a (group, value) place
     count is one AND, and only pairs whose places changed since they last
-    had two or more are counted.  So a missing pair with no stale mark has
-    two or more places: every change of places marks it, and a backtrack
-    resumes only at a branch node whose pass left nothing stale.  The pass
-    walks its stop group for every lower value, and a later value's locked
-    step changes only that value's plane, so the value it stops at is the
-    group's lowest with at most one place.  The search stops at the cap or
-    when its stack empties, and builds its outcome at that one exit.  Every
-    emitted solution must pass the certificate (``_first_fault``); one that
-    fails raises SelfCheckError, worded by ``verify_solution``, with the
-    grid.  ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an
-    int, or is below 1, raises InvalidCapError; a ``problem`` that is not a
+    had two or more are counted; a value's walk clears its marks below where
+    it ends, at once.  So a missing pair with no stale mark has two or more
+    places: every change of places marks it, and a backtrack resumes only at
+    a branch node whose pass left nothing stale.  The pass walks its stop
+    group for every lower value, and a later value's locked step changes
+    only that value's plane, so the value it stops at is the group's lowest
+    with at most one place.  The search stops at the cap or when its stack
+    empties, and builds its outcome at that one exit.  Every emitted
+    solution must pass the certificate (``_first_fault``); one that fails
+    raises SelfCheckError, worded by ``verify_solution``, with the grid.
+    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
+    is below 1, raises InvalidCapError; a ``problem`` that is not a
     ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
@@ -261,9 +263,12 @@ def solve(
                             if count < 2:
                                 stop, below, put = gid, gbit - 1, v
                                 break
-                            # A group h that holds all of p holds its last
-                            # cell, so the partners are that cell's other groups.
-                            hs = group_bits[p.bit_length() - 1] ^ gbit
+                            # A group h that holds all of p holds its first and
+                            # last cells, so only the other groups of both can.
+                            hs = group_bits[(p & -p).bit_length() - 1] ^ gbit
+                            hs &= group_bits[p.bit_length() - 1]
+                            if not hs:
+                                continue
                             lost = 0
                             while hs:
                                 hbit = hs & -hs
@@ -287,8 +292,7 @@ def solve(
                                     if not m & (m - 1):
                                         low |= pbit
                                         dead = dead or not m
-                        stale ^= gbit
-                    sv[v] = stale
+                    sv[v] = stale & ~below  # every stale pair under `below` was counted
         if stop >= 0:
             # A placed value has no place in the group, so fewer values
             # with a place than free cells leaves a missing value none: a

@@ -185,9 +185,9 @@ def read_text(path: str | os.PathLike) -> tuple[str, str]:
     InputTypeError; bytes not UTF-8, or a NUL in the name, PuzzleFormatError.
     """
     require_instance("path", path, (str, os.PathLike))
-    name = str(Path(path))
+    name = str(path := Path(path))
     try:
-        return Path(path).read_text(encoding="utf-8"), name
+        return path.read_text(encoding="utf-8"), name
     except ValueError as exc:
         raise PuzzleFormatError(str(exc), source_name=name) from exc
 

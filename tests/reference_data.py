@@ -16,7 +16,7 @@ reads the group's value planes, so the two reach each dead end and hidden
 single by different routes.  It finds a dead cell by recounting every
 free cell's candidates, where ``solve`` keeps a flag, and finds places
 locked in another group from the groups their first two cells share,
-where ``solve`` keeps a table of the groups sharing two or more cells.
+where ``solve`` tries the groups holding their first and last cells.
 """
 
 A9_DENSE = (
@@ -193,12 +193,12 @@ def reference_search(spec, cap=None):
     The stop group is decided by recounting its cells' masks; without one,
     a cell the walk left dead or with one candidate comes next, and then
     the free cell with the fewest candidates.  It finds that other group
-    from the groups its first two places share, not from a table of groups
-    sharing cells, and undoes every candidate it clears, by placing or by
-    the walk, from one trail.  It builds the distinct groups from the
-    spec's permutations itself and returns the grids as tuples,
-    uncertified; givens that repeat a value in a group give no solutions,
-    no nodes and ``exhausted``.
+    from the groups its first two places share, not from those its first
+    and last places share, as ``solve`` does, and undoes every candidate it
+    clears, by placing or by the walk, from one trail.  It builds the
+    distinct groups from the spec's permutations itself and returns the
+    grids as tuples, uncertified; givens that repeat a value in a group
+    give no solutions, no nodes and ``exhausted``.
     """
     n = spec.n
     total = n * n

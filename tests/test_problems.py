@@ -30,7 +30,13 @@ from gensudoku import (
     solve,
     verify_solution,
 )
-from reference_data import REGION3_GROUPS, X3, reference_verify
+from reference_data import (
+    REGION3_GROUPS,
+    X3,
+    exact_cover_solutions,
+    reference_search,
+    reference_verify,
+)
 
 REGIONS4 = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
 LATIN3_GRID = (1, 2, 3, 2, 3, 1, 3, 1, 2)
@@ -456,6 +462,25 @@ class TestSolve:
         (sol,) = outcome.solutions
         assert verify_solution(spec, sol).ok
         assert all(r.holds for r in check_necessary(spec, sol))
+
+    def test_a_group_holding_the_first_and_last_places_only_is_no_partner(self):
+        # Region 4 holds cells 5, 7 and 8 of row 2, but not 6, so two groups
+        # share three cells.  With 1 given at cell 3, 1 can go in row 2 only
+        # at cells 5, 6 and 8 (cell 7 shares column 3 with the given).  Region
+        # 4 holds the first and the last of these places but not the middle
+        # one, so 1 need not lie in it and stays a candidate of its cell 9.
+        # Every solution puts 1 at cells 6 and 9: taking it from them, as if
+        # region 4 held all three places, would leave none.
+        regions = ((3, 10, 11, 13), (1, 6, 12, 14), (2, 4, 15, 16), (5, 7, 8, 9))
+        spec = make_gerechte_spec(Partition(4, regions), [(3, 1)])
+        outcome = solve(spec)
+        found = [s.cells for s in outcome.solutions]
+        assert reference_search(spec) == (found, 63, True)
+        rows = [list(range(r * 4 + 1, r * 4 + 5)) for r in range(4)]
+        cols = [list(range(c + 1, 17, 4)) for c in range(4)]
+        groups = rows + cols + [list(region) for region in regions]
+        assert sorted(found) == sorted(exact_cover_solutions(4, groups, [(3, 1)]))
+        assert len(found) == 6 and all(grid[5] == grid[8] == 1 for grid in found)
 
     def test_givens_respected_in_all_solutions(self):
         outcome = solve(make_latin_spec(3, givens=((5, 1),)))
