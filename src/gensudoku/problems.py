@@ -253,7 +253,6 @@ def solve(
                 todo = sv[v] & below
                 if todo:
                     places = plane[v] & free
-                    stale = sv[v]
                     while todo:
                         gbit = todo & -todo
                         todo ^= gbit
@@ -287,12 +286,12 @@ def solve(
                                     peer = pbit.bit_length() - 1
                                     m = cand[peer] ^ bit
                                     cand[peer] = m
-                                    stale |= group_bits[peer]
+                                    sv[v] |= group_bits[peer]
                                     todo |= group_bits[peer] & below
                                     if not m & (m - 1):
                                         low |= pbit
                                         dead = dead or not m
-                    sv[v] = stale & ~below  # every stale pair under `below` was counted
+                    sv[v] &= ~below  # every stale pair under `below` was counted
         if stop >= 0:
             # A placed value has no place in the group, so fewer values
             # with a place than free cells leaves a missing value none: a
@@ -300,12 +299,12 @@ def solve(
             cells = free & gmask[stop]
             held = len([v for v in range(1, n + 1) if plane[v] & cells])
             mask = 0 if held < cells.bit_count() else 1 << put
-            best = (plane[put] & cells).bit_length() - 1
+            cell = (plane[put] & cells).bit_length() - 1
         elif dead:
             mask = 0
         elif low:
-            best = (low & -low).bit_length() - 1
-            mask = cand[best]
+            cell = (low & -low).bit_length() - 1
+            mask = cand[cell]
         elif not free:
             sol = Assignment(n, tuple(values))
             if _first_fault(problem, values) is not None:
@@ -334,11 +333,9 @@ def solve(
             fewest = free
             for s in reversed(slices):
                 fewest = fewest & ~s or fewest
-            best = (fewest & -fewest).bit_length() - 1
-            mask = cand[best]
-        if mask:
-            cell = best
-        else:
+            cell = (fewest & -fewest).bit_length() - 1
+            mask = cand[cell]
+        if not mask:
             # A dead end or a solution: undo back to the deepest cell with a
             # value left.  Only a branch node's frame has one, pushed just
             # after the node brought the slices up to date; no cell there had

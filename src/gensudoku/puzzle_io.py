@@ -181,10 +181,13 @@ def render_tableau(x: Assignment) -> str:
 def read_text(path: str | os.PathLike) -> tuple[str, str]:
     """A puzzle, solution or region file's text, decoded as UTF-8, and its name.
 
-    The name is ``str(Path(path))``.  A path not a str or PathLike raises
-    InputTypeError; bytes not UTF-8, or a NUL in the name, PuzzleFormatError.
+    The name is ``str(Path(path))``.  A path not a str or PathLike, or one
+    whose ``__fspath__`` gives no str, raises InputTypeError; bytes not
+    UTF-8, or a NUL in the name, PuzzleFormatError.
     """
     require_instance("path", path, (str, os.PathLike))
+    if not isinstance(path, str):
+        require_instance("path's __fspath__()", path.__fspath__(), str)
     name = str(path := Path(path))
     try:
         return path.read_text(encoding="utf-8"), name

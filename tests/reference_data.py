@@ -1,15 +1,29 @@
-"""Frozen reference values for the worked examples.
+"""Fixtures, constructions and oracles that more than one test module uses.
 
-The 9-alphabet example: the full pairwise-difference matrix, the sign
-vector of its product with X9, and the resulting column sums.  The
-3-alphabet example: the region-permuted constraint matrix for the groups
-{1,2,4}, {5,7,8}, {3,6,9} and the matching vectors for the solved square
-(2,1,3,3,2,1,1,3,2).
+Frozen reference values for the worked examples.  The 9-alphabet
+example: the full pairwise-difference matrix, the sign vector of its
+product with X9, and the resulting column sums.  The 3-alphabet example:
+the region-permuted constraint matrix for the groups {1,2,4}, {5,7,8},
+{3,6,9} and the matching vectors for the solved square
+(2,1,3,3,2,1,1,3,2).  Then the published 9x9 puzzles
+(``SUDOKU_9X9_FIXTURES``) and Inkala's puzzle with its solution.
+
+The random members of the model's one family, all cell groups that each
+hold 1..n: ``band_order`` shuffles rows within bands,
+``sudoku_grid``/``shuffled_sudoku_grid`` give a pattern Sudoku grid of
+order m*m, ``latin_square``/``shuffled_latin_square`` a cyclic Latin
+square, and ``deal_regions`` the gerechte regions a square fits, its
+value cells dealt one to each region.  ``rows_and_columns`` lists an n x n
+grid's row and column groups.  Each shuffled construction draws from a
+``random.Random`` in a fixed order, so a seed names one problem;
+``deal_regions`` takes a ``sample`` function, ``rng.sample`` or a
+hypothesis draw.
 
 ``reference_verify`` is a second route to ``verify_solution``'s verdict and
 wording that shares no code with the library, ``exact_cover_solutions``
-a second route to ``solve``'s solution set, ``reference_search`` a second
-route to its node count and solution order, and ``reference_rank`` a
+a second route to ``solve``'s solution set, ``count_grids_by_row_product``
+a third that enumerates whole grids row by row, ``reference_search`` a
+second route to its node count and solution order, and ``reference_rank`` a
 second route to ``rank_of_difference_matrix``.  ``reference_search``
 decides a group by recounting its cells' candidate masks, where ``solve``
 reads the group's value planes, so the two reach each dead end and hidden
@@ -17,7 +31,16 @@ single by different routes.  It finds a dead cell by recounting every
 free cell's candidates, where ``solve`` keeps a flag, and finds places
 locked in another group from the groups their first two cells share,
 where ``solve`` tries the groups holding their first and last cells.
+``time_bound`` fails a test whose block runs past a number of seconds.
 """
+
+import contextlib
+import math
+import signal
+import time
+from itertools import permutations as iter_permutations
+
+import pytest
 
 A9_DENSE = (
     (1, -1, 0, 0, 0, 0, 0, 0, 0),
@@ -87,6 +110,76 @@ X3 = (2, 1, 3, 3, 2, 1, 1, 3, 2)
 X3_SIGNS = (1, -1, -1, 1, -1, -1, 1, 1, -1)
 
 X3_COLUMN_SUMS = (0, -2, 2, 2, 0, -2, -2, 2, 0)
+
+SUDOKU_9X9_FIXTURES = [
+    # Widely published example grids.
+    "53..7...." "6..195..." ".98....6." "8...6...3" "4..8.3..1"
+    "7...2...6" ".6....28." "...419..5" "....8..79",
+    "..3.2.6.." "9..3.5..1" "..18.64.." "..81.29.." "7.......8"
+    "..67.82.." "..26.95.." "8..2.3..9" "..5.1.3..",
+    "2...8.3.." ".6..7..84" ".3.5..2.9" "...1.54.8" "........."
+    "4.27.6..." "3.1..7.4." "72..4..6." "..4.1...3",
+    ".3..5..4." "..8.1.5.." "46.....12" ".7.5.2.8." "...6.3..."
+    ".4.1.9.3." "25.....98" "..1.2.6.." ".8..6..2.",
+    "1....7.9." ".3..2...8" "..96..5.." "..53..9.." ".1..8...2"
+    "6....4..." "3......1." ".4......7" "..7...3..",
+]
+
+# Arto Inkala's puzzle and its unique solution, as bench/corpus.py stores them.
+INKALA = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
+INKALA_SOLUTION = "812753649943682175675491283154237896369845721287169534521974368438526917796318452"
+
+
+def band_order(rng, m=3):
+    """0..m*m-1 shuffled so that each band of m stays together."""
+    return [m * b + i for b in rng.sample(range(m), m) for i in rng.sample(range(m), m)]
+
+
+def sudoku_grid(m, values, rows, cols):
+    """Cells of the pattern Sudoku grid of order n = m*m, its values, rows
+    and columns taken in the given orders of 0..n-1."""
+    n = m * m
+    return [
+        values[(m * (rows[i // n] % m) + rows[i // n] // m + cols[i % n]) % n] + 1
+        for i in range(n * n)
+    ]
+
+
+def shuffled_sudoku_grid(rng, m):
+    """The pattern grid with its values, then its bands and the rows within
+    them, then its stacks and the columns within them, shuffled by ``rng``."""
+    n = m * m
+    return sudoku_grid(m, rng.sample(range(n), n), band_order(rng, m), band_order(rng, m))
+
+
+def latin_square(values, rows, cols):
+    """Cells of the cyclic Latin square, its values, rows and columns taken
+    in the given orders of 0..n-1."""
+    n = len(values)
+    return [values[(rows[i // n] + cols[i % n]) % n] + 1 for i in range(n * n)]
+
+
+def shuffled_latin_square(rng, n):
+    """The cyclic Latin square with its values, rows and columns shuffled by ``rng``."""
+    return latin_square(*(rng.sample(range(n), n) for _ in range(3)))
+
+
+def deal_regions(square, sample):
+    """n regions that ``square`` fits: each value's cells, drawn in the order
+    ``sample(cells, n)`` gives, dealt one to each region.
+
+    Value by value, region r takes the r-th cell drawn, so each region holds
+    1..n in ``square``.  Cells are 1-based and listed by value, not sorted.
+    """
+    n = math.isqrt(len(square))
+    by_value = [sample([i + 1 for i in range(n * n) if square[i] == v], n) for v in range(1, n + 1)]
+    return [[cells[r] for cells in by_value] for r in range(n)]
+
+
+def rows_and_columns(n):
+    """An n x n grid's n rows, then its n columns, as lists of 1-based cells."""
+    rows = [list(range(r * n + 1, r * n + n + 1)) for r in range(n)]
+    return rows + [list(range(c + 1, n * n + 1, n)) for c in range(n)]
 
 
 def reference_verify(spec, cells):
@@ -176,6 +269,37 @@ def exact_cover_solutions(n, groups, givens=()):
 
     search()
     return found
+
+
+def count_grids_by_row_product(n, extra_groups=(), givens=()):
+    """``(count, grids)`` of every grid whose rows are permutations of 1..n,
+    whose columns and ``extra_groups`` each hold 1..n and whose givens stand.
+
+    The grids are a product of rows, each taken in lexicographic order, the
+    last row fastest.  A row that repeats a value above it in a column is
+    passed over; the groups and givens are checked on whole grids.
+    """
+    given_map = dict(givens)
+    rows = list(iter_permutations(range(1, n + 1)))
+    solutions = []
+
+    def extend(grid):
+        if len(grid) == n:
+            cells = tuple(v for row in grid for v in row)
+            for group in extra_groups:
+                if len({cells[i - 1] for i in group}) != n:
+                    return
+            for cell, value in given_map.items():
+                if cells[cell - 1] != value:
+                    return
+            solutions.append(cells)
+            return
+        for row in rows:
+            if all(row[c] != above[c] for above in grid for c in range(n)):
+                extend(grid + [row])
+
+    extend([])
+    return len(solutions), solutions
 
 
 def reference_search(spec, cap=None):
@@ -353,3 +477,27 @@ def reference_rank(dense):
         if rank == n_rows:
             break
     return rank
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Fail the running test if the block takes longer than ``seconds``.
+
+    A SIGALRM interval timer interrupts the block; the previous handler and
+    timer (less the time the block took) are restored on the way out.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if delay:
+            left = max(delay - (time.monotonic() - start), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, interval)

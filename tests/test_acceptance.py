@@ -2,18 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Expected values come from the frozen reference data and from
-independent enumeration oracles computed here, never from the code paths
-under test.
+the independent enumeration oracles in ``reference_data``, never from the
+code paths under test.
 """
 
-import contextlib
 import hashlib
 import math
 import random
-import signal
 import time
 from itertools import combinations
-from itertools import permutations as iter_permutations
 
 import pytest
 
@@ -44,35 +41,23 @@ from gensudoku import (
 from gensudoku.cli import run_cli
 from reference_data import (
     A9_DENSE,
+    INKALA,
+    INKALA_SOLUTION,
     REGION3_DENSE,
     REGION3_GROUPS,
+    SUDOKU_9X9_FIXTURES,
     X3,
     X3_COLUMN_SUMS,
     X3_SIGNS,
     X9,
     X9_COLUMN_SUMS,
     X9_SIGNS,
+    count_grids_by_row_product,
     exact_cover_solutions,
     reference_search,
+    rows_and_columns,
+    time_bound,
 )
-
-SUDOKU_9X9_FIXTURES = [
-    # Widely published example grids.
-    "53..7...." "6..195..." ".98....6." "8...6...3" "4..8.3..1"
-    "7...2...6" ".6....28." "...419..5" "....8..79",
-    "..3.2.6.." "9..3.5..1" "..18.64.." "..81.29.." "7.......8"
-    "..67.82.." "..26.95.." "8..2.3..9" "..5.1.3..",
-    "2...8.3.." ".6..7..84" ".3.5..2.9" "...1.54.8" "........."
-    "4.27.6..." "3.1..7.4." "72..4..6." "..4.1...3",
-    ".3..5..4." "..8.1.5.." "46.....12" ".7.5.2.8." "...6.3..."
-    ".4.1.9.3." "25.....98" "..1.2.6.." ".8..6..2.",
-    "1....7.9." ".3..2...8" "..96..5.." "..53..9.." ".1..8...2"
-    "6....4..." "3......1." ".4......7" "..7...3..",
-]
-
-# Arto Inkala's puzzle and its unique solution, as bench/corpus.py stores them.
-INKALA = "8..........36......7..9.2...5...7.......457.....1...3...1....68..85...1..9....4.."
-INKALA_SOLUTION = "812753649943682175675491283154237896369845721287169534521974368438526917796318452"
 
 # Fitted gerechte 9x9 puzzles, 66 cells blank: rows of region labels 1-9
 # and the givens.  Each value's nine cells in a shuffled cyclic Latin square
@@ -206,36 +191,6 @@ def test_criterion_6_rank_and_kernel(capsys):
     assert elapsed < 1.0
     with capsys.disabled():
         announce(6, elapsed)
-
-
-def count_grids_by_row_product(n, extra_groups=(), givens=()):
-    """Independent oracle: product of per-row value permutations, filtered."""
-    given_map = dict(givens)
-    rows = list(iter_permutations(range(1, n + 1)))
-    count = 0
-    solutions = []
-
-    def extend(grid):
-        nonlocal count
-        if len(grid) == n:
-            cells = tuple(v for row in grid for v in row)
-            for c in range(n):
-                if len({row[c] for row in grid}) != n:
-                    return
-            for group in extra_groups:
-                if len({cells[i - 1] for i in group}) != n:
-                    return
-            for cell, value in given_map.items():
-                if cells[cell - 1] != value:
-                    return
-            count += 1
-            solutions.append(cells)
-            return
-        for row in rows:
-            extend(grid + [row])
-
-    extend([])
-    return count, solutions
 
 
 def test_criterion_7_enumeration_counts_match_oracles(capsys):
@@ -441,30 +396,6 @@ def test_search_nodes_and_order_are_pinned():
     ) == (0, [], True, [])
 
 
-@contextlib.contextmanager
-def time_bound(seconds):
-    """Fail the running test if the block takes longer than ``seconds``.
-
-    A SIGALRM interval timer interrupts the block; the previous handler and
-    timer (less the time the block took) are restored on the way out.
-    """
-
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s", pytrace=False)
-
-    handler = signal.signal(signal.SIGALRM, expire)
-    delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
-    start = time.monotonic()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, handler)
-        if delay:
-            left = max(delay - (time.monotonic() - start), 1e-6)
-            signal.setitimer(signal.ITIMER_REAL, left, interval)
-
-
 def test_empty_grid_searches_are_pinned():
     # The empty grids hard-search solves at cap=1: their node counts and
     # first solutions, pinned by a digest of the cells and held to the
@@ -546,9 +477,7 @@ def test_places_locked_in_a_region_leave_its_other_cells():
     outcome = solve(spec)
     assert (outcome.nodes_explored, len(outcome.solutions), outcome.exhausted) == (29, 1, True)
     assert reference_search(spec) == ([s.cells for s in outcome.solutions], 29, True)
-    rows = [list(range(r * 6 + 1, r * 6 + 7)) for r in range(6)]
-    cols = [list(range(c + 1, 37, 6)) for c in range(6)]
-    groups = rows + cols + [list(region) for region in regions]
+    groups = rows_and_columns(6) + [list(region) for region in regions]
     assert exact_cover_solutions(6, groups, givens) == [outcome.solutions[0].cells]
     # Rows and columns share one cell, so places never lock in a Latin spec.
     latin = [set(group) for group in make_latin_spec(6).distinct_groups]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,18 @@ def test_usage_and_help_pages(monkeypatch, capsys, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("name, code", [("p.txt", 0), ("missing.txt", 2)])
+def test_the_module_prints_and_exits_as_run_cli_does(tmp_path, capsys, name, code):
+    # `python -m gensudoku.cli` runs main(), which exits with run_cli's code.
+    write(tmp_path, "p.txt", CLASSIC4_PUZZLE)
+    argv = ["solve", str(tmp_path / name), "--cap", "1"]
+    env = {**os.environ, "PYTHONPATH": str(Path(gensudoku.cli.__file__).resolve().parent.parent)}
+    command = [sys.executable, "-m", "gensudoku.cli", *argv]
+    run = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert run_cli(argv) == code
+    assert (run.stdout, run.stderr, run.returncode) == (*capsys.readouterr(), code)
 
 
 class TestMatrixCommand:

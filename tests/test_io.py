@@ -23,6 +23,16 @@ from reference_data import REGION3_GROUPS, X3
 BLANK2 = (0, 2, 2, 1)
 
 
+class FsPath:
+    """A PathLike whose ``__fspath__`` returns the value it was built with."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __fspath__(self):
+        return self.value
+
+
 class TestParsePuzzle:
     def test_minimal(self):
         doc = parse_puzzle("n 2\n1 0\n0 0\n")
@@ -228,6 +238,13 @@ class TestEntryTypes:
         kind = type(path).__name__
         with pytest.raises(InputTypeError, match=f"path must be a str or PathLike, got {kind}$"):
             load(path)
+
+    @pytest.mark.parametrize("load", [load_puzzle, load_problem, load_regions])
+    @pytest.mark.parametrize("value", [b"p.txt", 3])
+    def test_load_needs_a_path_that_gives_a_str(self, load, value):
+        kind = type(value).__name__
+        with pytest.raises(InputTypeError, match=rf"__fspath__\(\) must be a str, got {kind}$"):
+            load(FsPath(value))
 
     @pytest.mark.parametrize("load", [load_puzzle, load_problem, load_regions])
     def test_missing_file_stays_an_os_error(self, load, tmp_path):

@@ -1,7 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
-from itertools import permutations as iter_permutations, product
+from itertools import product
 
 import pytest
 
@@ -33,9 +33,12 @@ from gensudoku import (
 from reference_data import (
     REGION3_GROUPS,
     X3,
+    count_grids_by_row_product,
     exact_cover_solutions,
     reference_search,
     reference_verify,
+    rows_and_columns,
+    sudoku_grid,
 )
 
 REGIONS4 = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
@@ -47,34 +50,6 @@ CLASSIC4_SIX_BLANKS = tuple(
     for cell, value in enumerate(CLASSIC4_GRID, start=1)
     if cell not in (1, 6, 8, 11, 13, 16)
 )
-
-
-def count_latin_squares(n, givens=()):
-    """Independent enumeration: rows as value permutations, column filter."""
-    given_map = dict(givens)
-    count = 0
-    squares = []
-    rows = list(iter_permutations(range(1, n + 1)))
-    def ok(grid):
-        for c in range(n):
-            if len({row[c] for row in grid}) != n:
-                return False
-        for cell, value in given_map.items():
-            r, c = divmod(cell - 1, n)
-            if grid[r][c] != value:
-                return False
-        return True
-    def extend(grid):
-        nonlocal count
-        if len(grid) == n:
-            if ok(grid):
-                count += 1
-                squares.append(tuple(v for row in grid for v in row))
-            return
-        for row in rows:
-            extend(grid + [row])
-    extend([])
-    return count, squares
 
 
 @contextmanager
@@ -161,7 +136,7 @@ class TestVerifySolution:
         rng = random.Random(47)
         latin3 = make_latin_spec(3).constraints
         reversed_rows = Permutation((7, 8, 9, 4, 5, 6, 1, 2, 3))
-        rows4 = tuple(tuple(range(r * 4 + 1, r * 4 + 5)) for r in range(4))
+        rows4 = rows_and_columns(4)[:4]
         for spec, constraint_ids in (
             (make_latin_spec(3, givens=((5, 2),)), {1, 2}),
             (make_classic_spec(4, givens=((1, 1), (16, 1))), {1, 2, 3}),
@@ -276,7 +251,7 @@ class TestBruteForce:
         assert len(outcome.solutions) == 12
 
     def test_latin3_matches_independent_enumeration(self):
-        count, squares = count_latin_squares(3)
+        count, squares = count_grids_by_row_product(3)
         outcome = brute_force(make_latin_spec(3))
         assert len(outcome.solutions) == count == 12
         assert {s.cells for s in outcome.solutions} == set(squares)
@@ -399,15 +374,11 @@ class TestSolve:
         # verify_solution, the reconstruction identity and the givens check
         # are the oracles run here.
         regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
-        _, latin4 = count_latin_squares(4)
-        gerechte4 = [
-            g for g in latin4 if all(len({g[c - 1] for c in r}) == 4 for r in regions)
-        ]
         for spec, expected in (
             (make_latin_spec(3, givens=((1, 2),)), 4),
             (make_classic_spec(4), 288),
             (make_latin_spec(4), 576),
-            (make_gerechte_spec(Partition(4, regions)), len(gerechte4)),
+            (make_gerechte_spec(Partition(4, regions)), count_grids_by_row_product(4, regions)[0]),
         ):
             outcome = solve(spec)
             assert outcome.exhausted and len(outcome.solutions) == expected
@@ -476,9 +447,7 @@ class TestSolve:
         outcome = solve(spec)
         found = [s.cells for s in outcome.solutions]
         assert reference_search(spec) == (found, 63, True)
-        rows = [list(range(r * 4 + 1, r * 4 + 5)) for r in range(4)]
-        cols = [list(range(c + 1, 17, 4)) for c in range(4)]
-        groups = rows + cols + [list(region) for region in regions]
+        groups = rows_and_columns(4) + [list(region) for region in regions]
         assert sorted(found) == sorted(exact_cover_solutions(4, groups, [(3, 1)]))
         assert len(found) == 6 and all(grid[5] == grid[8] == 1 for grid in found)
 
@@ -598,20 +567,10 @@ def _classic9_images():
     return rows, cols, boxes
 
 
-def _gerechte4_solutions(latin4, regions, givens=()):
-    """The 4x4 Latin squares whose regions and givens hold, by filtering."""
-    return {
-        square
-        for square in latin4
-        if all(len({square[c - 1] for c in region}) == 4 for region in regions)
-        and all(square[cell - 1] == value for cell, value in givens)
-    }
-
-
 class TestEqualConstraints:
     """Specs search alike when their constraints are equal, and only then."""
 
-    GRID9 = tuple((r * 3 + r // 3 + c) % 9 + 1 for r in range(9) for c in range(9))
+    GRID9 = tuple(sudoku_grid(3, range(9), range(9), range(9)))
 
     def test_fresh_permutations_give_the_classic_groups_and_search(self):
         blanks = set(random.Random(21).sample(range(81), 50))
@@ -644,7 +603,6 @@ class TestEqualConstraints:
             name: tuple(enumerate(solve(build(name), cap=1).solutions[0].cells[8:], 9))
             for name in tilings
         }
-        _, latin4 = count_latin_squares(4)
         first = {}
         for name in [*tilings, *tilings]:
             for givens in ((), puzzles[name]):
@@ -653,12 +611,12 @@ class TestEqualConstraints:
                 key = (name, givens)
                 if key not in first:
                     first[key] = run
-                    expected = _gerechte4_solutions(latin4, tilings[name], givens)
+                    expected = set(count_grids_by_row_product(4, tilings[name], givens)[1])
                     assert set(run[0]) == expected
                     if givens:
                         oracle = brute_force(build(name, givens)).solutions
                         assert expected == {s.cells for s in oracle}
                 assert run == first[key]
-        assert _gerechte4_solutions(latin4, REGIONS4) != _gerechte4_solutions(
-            latin4, tilings["gerechte-2"]
+        assert count_grids_by_row_product(4, REGIONS4) != count_grids_by_row_product(
+            4, tilings["gerechte-2"]
         )

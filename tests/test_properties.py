@@ -64,8 +64,21 @@ from gensudoku import (
     verify_solution,
 )
 from gensudoku.cli import run_cli
-from reference_data import REGION3_GROUPS, X3, exact_cover_solutions, reference_search
-from test_acceptance import INKALA, SUDOKU_9X9_FIXTURES, count_grids_by_row_product
+from reference_data import (
+    INKALA,
+    REGION3_GROUPS,
+    SUDOKU_9X9_FIXTURES,
+    X3,
+    band_order,
+    count_grids_by_row_product,
+    deal_regions,
+    exact_cover_solutions,
+    latin_square,
+    reference_search,
+    rows_and_columns,
+    shuffled_latin_square,
+    shuffled_sudoku_grid,
+)
 
 # Characters that build headers, grids and region lines, plus digits that
 # are not ASCII: "²" is a digit int() rejects, "٣" a decimal digit it reads.
@@ -140,9 +153,7 @@ def test_parsers_return_a_document_or_a_format_error(text):
 def latin_squares(n):
     """Cells of a cyclic Latin square with its rows, columns and values permuted."""
     perms = st.tuples(*(st.permutations(range(n)) for _ in range(3)))
-    return perms.map(
-        lambda p: [p[0][(p[1][i // n] + p[2][i % n]) % n] + 1 for i in range(n * n)]
-    )
+    return perms.map(lambda p: latin_square(*p))
 
 
 def grids(n):
@@ -261,11 +272,8 @@ def gerechte_problem(draw):
     n = draw(st.integers(2, 4))
     square = draw(latin_squares(n))
     if draw(st.booleans()):
-        by_value = [
-            draw(st.permutations([i + 1 for i in range(n * n) if square[i] == v]))
-            for v in range(1, n + 1)
-        ]
-        regions = [sorted(cells[r] for cells in by_value) for r in range(n)]
+        dealt = deal_regions(square, lambda cells, _: draw(st.permutations(cells)))
+        regions = [sorted(region) for region in dealt]
     else:
         order = draw(st.permutations(range(1, n * n + 1)))
         regions = [sorted(order[r * n : (r + 1) * n]) for r in range(n)]
@@ -291,8 +299,7 @@ def test_random_gerechte_solutions_match_the_oracles():
         if n == 3:
             assert found == set(count_grids_by_row_product(3, regions, givens)[1])
         value = dict(givens)
-        groups = regions + [list(range(r * n + 1, r * n + n + 1)) for r in range(n)]
-        groups += [list(range(c + 1, n * n + 1, n)) for c in range(n)]
+        groups = regions + rows_and_columns(n)
         assert found == set(exact_cover_solutions(n, groups, givens))
         held = [[value[c] for c in group if c in value] for group in groups]
         repeats = any(len(h) != len(set(h)) for h in held)
@@ -301,11 +308,6 @@ def test_random_gerechte_solutions_match_the_oracles():
 
     check()
     assert kinds == {"solved", "none", "conflict"}
-
-
-def band_order(rng, m=3):
-    """0..m*m-1 shuffled so that each band of m stays together."""
-    return [m * b + i for b in rng.sample(range(m), m) for i in rng.sample(range(m), m)]
 
 
 @st.composite
@@ -327,22 +329,14 @@ def fitted_gerechte_9x9(draw):
     cleared = draw(st.sets(st.integers(1, 9), max_size=2))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if boxes:
-        values, rows, cols = rng.sample(range(9), 9), band_order(rng), band_order(rng)
-        square = [
-            values[(3 * (rows[i // 9] % 3) + rows[i // 9] // 3 + cols[i % 9]) % 9] + 1
-            for i in range(81)
-        ]
+        square = shuffled_sudoku_grid(rng, 3)
         regions = [
             [27 * (b // 3) + 9 * r + 3 * (b % 3) + c + 1 for r in range(3) for c in range(3)]
             for b in range(9)
         ]
     else:
-        values, rows, cols = (rng.sample(range(9), 9) for _ in range(3))
-        square = [values[(rows[i // 9] + cols[i % 9]) % 9] + 1 for i in range(81)]
-        by_value = [
-            rng.sample([i + 1 for i in range(81) if square[i] == v], 9) for v in range(1, 10)
-        ]
-        regions = [sorted(cells[r] for cells in by_value) for r in range(9)]
+        square = shuffled_latin_square(rng, 9)
+        regions = [sorted(region) for region in deal_regions(square, rng.sample)]
     blanks = {i for i in range(81) if square[i] in cleared}
     others = [i for i in range(81) if i not in blanks]
     count = draw(st.integers(0, (45 if boxes else 60) - len(blanks)))
@@ -353,8 +347,7 @@ def fitted_gerechte_9x9(draw):
 
 def test_fitted_gerechte_9x9_solutions_match_the_exact_cover_oracle():
     reached = []  # (boxes, number of solutions) per example
-    rows = [list(range(r * 9 + 1, r * 9 + 10)) for r in range(9)]
-    cols = [list(range(c + 1, 82, 9)) for c in range(9)]
+    lines = rows_and_columns(9)
 
     @settings(max_examples=80, deadline=None)
     @given(fitted_gerechte_9x9())
@@ -362,7 +355,7 @@ def test_fitted_gerechte_9x9_solutions_match_the_exact_cover_oracle():
         boxes, regions, givens, square = problem
         outcome = solve(make_gerechte_spec(Partition(9, regions), givens))
         found = [s.cells for s in outcome.solutions]
-        expected = exact_cover_solutions(9, rows + cols + regions, givens)
+        expected = exact_cover_solutions(9, lines + regions, givens)
         assert outcome.exhausted and not outcome.diagnostics
         assert len(set(found)) == len(found) and set(found) == set(expected)
         assert square in found
@@ -415,23 +408,15 @@ def search_problem(draw):
         if kind == "classic":
             m = draw(st.sampled_from((2, 3, 4)))
             n, make = m * m, make_classic_spec
-            values, rows, cols = rng.sample(range(n), n), band_order(rng, m), band_order(rng, m)
-            square = [
-                values[(m * (rows[i // n] % m) + rows[i // n] // m + cols[i % n]) % n] + 1
-                for i in range(n * n)
-            ]
+            square = shuffled_sudoku_grid(rng, m)
         else:
             n = draw(st.integers(4, 12 if kind == "latin" else 6))
-            values, rows, cols = (rng.sample(range(n), n) for _ in range(3))
-            square = [values[(rows[i // n] + cols[i % n]) % n] + 1 for i in range(n * n)]
+            square = shuffled_latin_square(rng, n)
         if kind == "latin":
             make = make_latin_spec
         elif kind == "raw":
-            by_value = [
-                rng.sample([i + 1 for i in range(n * n) if square[i] == v], n)
-                for v in range(1, n + 1)
-            ]
-            dealt = rng.sample([rng.sample([cells[r] for cells in by_value], n) for r in range(n)], n)
+            regions = deal_regions(square, rng.sample)
+            dealt = rng.sample([rng.sample(region, n) for region in regions], n)
             third = Permutation(tuple(cell for group in dealt for cell in group))
             make = lambda n, g: ProblemSpec(
                 n, (identity_permutation(n), transpose_permutation(n), third), g

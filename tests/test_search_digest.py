@@ -20,8 +20,7 @@ import hashlib
 import random
 
 from gensudoku import Partition, make_classic_spec, make_gerechte_spec, make_latin_spec, solve
-from test_acceptance import time_bound
-from test_properties import band_order
+from reference_data import deal_regions, shuffled_latin_square, shuffled_sudoku_grid, time_bound
 
 SEED = 20261020
 DRAWS = 1000
@@ -35,23 +34,14 @@ def draw(rng):
     if family == "classic":
         m = rng.choice((2, 3))
         n = m * m
-        values, rows, cols = rng.sample(range(n), n), band_order(rng, m), band_order(rng, m)
-        square = [
-            values[(m * (rows[i // n] % m) + rows[i // n] // m + cols[i % n]) % n] + 1
-            for i in range(n * n)
-        ]
+        square = shuffled_sudoku_grid(rng, m)
         make = make_classic_spec
     else:
         n = rng.randint(3, 7) if family == "latin" else rng.randint(4, 7)
-        values, rows, cols = (rng.sample(range(n), n) for _ in range(3))
-        square = [values[(rows[i // n] + cols[i % n]) % n] + 1 for i in range(n * n)]
+        square = shuffled_latin_square(rng, n)
         make = make_latin_spec
         if family == "gerechte":
-            by_value = [
-                rng.sample([i + 1 for i in range(n * n) if square[i] == v], n)
-                for v in range(1, n + 1)
-            ]
-            regions = [sorted(cells[r] for cells in by_value) for r in range(n)]
+            regions = [sorted(region) for region in deal_regions(square, rng.sample)]
             make = lambda n, g: make_gerechte_spec(Partition(n, regions), g)
     cap = rng.choice((1, 2, 3, None))
     count = rng.randint(0 if cap else n * n // 2, n * n)
