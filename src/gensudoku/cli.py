@@ -153,6 +153,9 @@ def run_cli(argv=None) -> int:
     except (GenSudokuError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its str() is empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
     return 0 if holds else 1
 
 

@@ -14,10 +14,10 @@ hold 1..n: ``band_order`` shuffles rows within bands,
 order m*m, ``latin_square``/``shuffled_latin_square`` a cyclic Latin
 square, and ``deal_regions`` the gerechte regions a square fits, its
 value cells dealt one to each region.  ``rows_and_columns`` lists an n x n
-grid's row and column groups.  Each shuffled construction draws from a
-``random.Random`` in a fixed order, so a seed names one problem;
-``deal_regions`` takes a ``sample`` function, ``rng.sample`` or a
-hypothesis draw.
+grid's row and column groups, and ``box_groups`` the boxes of a grid of
+order m*m.  Each shuffled construction draws from a ``random.Random`` in a
+fixed order, so a seed names one problem; ``deal_regions`` takes a
+``sample`` function, ``rng.sample`` or a hypothesis draw.
 
 ``reference_verify`` is a second route to ``verify_solution``'s verdict and
 wording that shares no code with the library, ``exact_cover_solutions``
@@ -180,6 +180,16 @@ def rows_and_columns(n):
     """An n x n grid's n rows, then its n columns, as lists of 1-based cells."""
     rows = [list(range(r * n + 1, r * n + n + 1)) for r in range(n)]
     return rows + [list(range(c + 1, n * n + 1, n)) for c in range(n)]
+
+
+def box_groups(m):
+    """A grid of order n = m*m's n boxes, by rows of boxes, as lists of
+    1-based cells in reading order."""
+    n = m * m
+    return [
+        [m * n * (b // m) + n * r + m * (b % m) + c + 1 for r in range(m) for c in range(m)]
+        for b in range(n)
+    ]
 
 
 def reference_verify(spec, cells):

@@ -30,6 +30,9 @@ LATIN3_SOLVED = "n 3\n2 1 3\n3 2 1\n1 3 2\n"
 LATIN2_PUZZLE = "n 2\n0 0\n0 0\n"
 CLASSIC4_PUZZLE = "n 4\n" + "0 0 0 0\n" * 4
 CLASSIC4_SOLVED = "n 4\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
+CLASSIC9_PUZZLE = "n 9\n" + "0 0 0 0 0 0 0 0 0\n" * 9
+TILING4 = "a a b b\nc a a b\nc d d b\nc c d d\n"
+GERECHTE4_PUZZLE = "n 4\nregions tiling4.txt\n4 3 0 0\n3 0 0 4\n0 0 4 3\n0 4 3 0\n"
 SOLVED9 = (
     "534678912672195348198342567859761423426853791"
     "713924856961537284287419635345286179"
@@ -147,7 +150,7 @@ class TestMatrixCommand:
         + [(make_latin_spec, 3, pi, None) for pi in (1, 2)]
         + [
             (make_gerechte_spec, 3, 3, "a a b\na b b\nc c c\n"),
-            (make_gerechte_spec, 4, 3, "a a b b\nc a a b\nc d d b\nc c d d\n"),
+            (make_gerechte_spec, 4, 3, TILING4),
         ],
     )
     def test_pi_dump_is_the_spec_constraint(self, tmp_path, capsys, make, n, pi, regions):
@@ -340,6 +343,15 @@ class TestSolveCommand:
         assert err.endswith("cell 1 holds 1, given is 1\n")
         assert "Traceback" not in err
 
+    def test_running_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhaust(*_, **__):
+            raise MemoryError
+
+        monkeypatch.setattr(gensudoku.cli, "solve", exhaust)
+        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        assert run_cli(["solve", puzzle]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
     def test_byte_stable(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
         run_cli(["solve", puzzle])
@@ -410,10 +422,17 @@ class TestVerifyCommand:
                 "VIOLATION (constraint): constraint 1, row 9: zero difference\n",
                 [False, "constraint", "constraint 1, row 9: zero difference"],
             ),
+            (
+                "n 4\n2 1 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n",
+                1,
+                "VIOLATION (constraint): constraint 2, row 2: zero difference\n",
+                [False, "constraint", "constraint 2, row 2: zero difference"],
+            ),
         ],
     )
     def test_text_and_json(self, tmp_path, capsys, solution, code, text, result):
-        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
+        n = int(solution.split()[1])  # the puzzle is the empty grid of that order
+        puzzle = write(tmp_path, "p.txt", f"n {n}\n" + (" ".join("0" * n) + "\n") * n)
         solved = write(tmp_path, "s.txt", solution)
         for fmt in ([], ["--format", "text"]):
             assert run_cli(["verify", puzzle, solved, *fmt]) == code
@@ -457,7 +476,7 @@ class TestOracleCommand:
         puzzle = write(tmp_path, "p.txt", "n 4\n" + "\n".join(["0 0 0 0"] * 4))
         assert run_cli(["oracle", puzzle]) == 2
         refusal = "4^16 candidate fill-ins exceed the 100000000 bound"
-        assert capsys.readouterr().err == f"error: {puzzle}: {refusal}\n"
+        assert capsys.readouterr() == ("", f"error: {puzzle}: {refusal}\n")
 
 
 def outcome_fields(outcome):
@@ -488,32 +507,53 @@ class TestJsonBytes:
     the CLI through the call it makes.
     """
 
+    # Each summary pins (solutions, nodes_explored, exhausted).
     @pytest.mark.parametrize(
-        "puzzle,cap,code,diagnosed",
+        "puzzle,cap,code,diagnosed,summary",
         [
-            (LATIN3_PUZZLE, "3", 0, False),
-            ("n 3\n1 1 0\n0 0 0\n0 0 0\n", None, 1, True),
-            ("n 2\n1 0\n0 2\n", None, 1, False),
+            (LATIN3_PUZZLE, "3", 0, False, (3, 23, False)),
+            ("n 3\n1 1 0\n0 0 0\n0 0 0\n", None, 1, True, (0, 0, True)),
+            ("n 2\n1 0\n0 2\n", None, 1, False, (0, 0, True)),
+            (CLASSIC4_PUZZLE, "1", 0, False, (1, 16, False)),
+            (CLASSIC9_PUZZLE, "1", 0, False, (1, 81, False)),
+            (GERECHTE4_PUZZLE, None, 0, False, (2, 16, True)),
         ],
-        ids=["solutions", "givens-conflict", "no-solution"],
+        ids=[
+            "solutions", "givens-conflict", "no-solution",
+            "classic4-cap-1", "classic9-cap-1", "gerechte4",
+        ],
     )
-    def test_solve(self, tmp_path, capsys, puzzle, cap, code, diagnosed):
+    def test_solve(self, tmp_path, capsys, puzzle, cap, code, diagnosed, summary):
+        write(tmp_path, "tiling4.txt", TILING4)
         path = write(tmp_path, "p.txt", puzzle)
         limit = [] if cap is None else ["--cap", cap]
         assert run_cli(["solve", path, *limit, "--format", "json"]) == code
         outcome = solve(load_problem(path), cap=None if cap is None else int(cap))
         assert capsys.readouterr().out == json.dumps(outcome_fields(outcome)) + "\n"
         assert bool(outcome.diagnostics) is diagnosed
+        assert (len(outcome.solutions), outcome.nodes_explored, outcome.exhausted) == summary
 
     @pytest.mark.parametrize(
-        "puzzle", [LATIN2_PUZZLE, "n 2\n1 0\n1 0\n"], ids=["solutions", "no-solution"]
+        "puzzle,summary",
+        [
+            (LATIN2_PUZZLE, (2, 16, True)),
+            ("n 2\n1 0\n1 0\n", (0, 4, True)),
+            ("n 3\n1 2 3\n0 0 0\n0 0 0\n", (2, 729, True)),
+            (GERECHTE4_PUZZLE, (2, 65536, True)),
+        ],
+        ids=["solutions", "no-solution", "latin3-first-row", "gerechte4"],
     )
-    def test_oracle(self, tmp_path, capsys, puzzle):
+    def test_oracle(self, tmp_path, capsys, puzzle, summary):
+        write(tmp_path, "tiling4.txt", TILING4)
         path = write(tmp_path, "p.txt", puzzle)
-        outcome = brute_force(load_problem(path))
+        problem = load_problem(path)
+        outcome = brute_force(problem)
         code = 0 if outcome.solutions else 1
         assert run_cli(["oracle", path, "--format", "json"]) == code
         assert capsys.readouterr().out == json.dumps(outcome_fields(outcome)) + "\n"
+        assert (len(outcome.solutions), outcome.nodes_explored, outcome.exhausted) == summary
+        found = {s.cells for s in solve(problem).solutions}
+        assert {s.cells for s in outcome.solutions} == found
 
     @pytest.mark.parametrize(
         "puzzle,solution,clause",
@@ -554,17 +594,30 @@ class TestJsonBytes:
                 1,
                 "VIOLATION (given): cell 1 holds 2, given is 1\n",
             ),
+            (CLASSIC4_PUZZLE, CLASSIC4_SOLVED, 0, "holds", 0, ""),
+            (
+                "n 4\n4 0 0 0\n" + "0 0 0 0\n" * 3,
+                CLASSIC4_SOLVED,
+                0,
+                "holds",
+                1,
+                "VIOLATION (given): cell 1 holds 1, given is 4\n",
+            ),
         ],
-        ids=["holds", "first_violation", "zero_rows", "given"],
+        ids=[
+            "holds", "first_violation", "zero_rows", "given",
+            "classic4-holds", "classic4-given",
+        ],
     )
     def test_check(
         self, tmp_path, capsys, monkeypatch, puzzle, solution, shift, field, code, err
     ):
         path = write(tmp_path, "p.txt", puzzle)
         solved = write(tmp_path, "s.txt", solution)
-        # Values 0..2 are distinct per group, so each reconstructs to 1..3.
-        cells = tuple(v + shift for v in load_puzzle(solved).assignment().cells)
-        reports = check_necessary(load_problem(path), Assignment(3, cells))
+        # Values 0..n-1 are distinct per group, so each reconstructs to 1..n.
+        grid = load_puzzle(solved).assignment()
+        cells = tuple(v + shift for v in grid.cells)
+        reports = check_necessary(load_problem(path), Assignment(grid.n, cells))
         assert all(getattr(r, field) for r in reports)
         if shift:
             # Reports no loaded solution gives: the certificate alone decides

@@ -33,6 +33,7 @@ from gensudoku import (
 from reference_data import (
     REGION3_GROUPS,
     X3,
+    box_groups,
     count_grids_by_row_product,
     exact_cover_solutions,
     reference_search,
@@ -350,11 +351,10 @@ class TestSolve:
         # value in 0..n + 1: repeats, out-of-range values and givens that
         # do not stand, alone or together.
         rng = random.Random(43)
-        regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
         for spec in (
             make_latin_spec(3, givens=((5, 2),)),
             make_classic_spec(4, givens=((1, 1), (16, 1))),
-            make_gerechte_spec(Partition(4, regions), givens=((6, 3),)),
+            make_gerechte_spec(Partition(4, REGIONS4), givens=((6, 3),)),
         ):
             n = spec.n
             unconstrained = ProblemSpec(n, spec.constraints)
@@ -373,12 +373,14 @@ class TestSolve:
         # solve certifies with its one-pass bitmask check only;
         # verify_solution, the reconstruction identity and the givens check
         # are the oracles run here.
-        regions = ((1, 2, 3, 6), (4, 7, 8, 12), (5, 9, 10, 13), (11, 14, 15, 16))
         for spec, expected in (
             (make_latin_spec(3, givens=((1, 2),)), 4),
             (make_classic_spec(4), 288),
             (make_latin_spec(4), 576),
-            (make_gerechte_spec(Partition(4, regions)), count_grids_by_row_product(4, regions)[0]),
+            (
+                make_gerechte_spec(Partition(4, REGIONS4)),
+                count_grids_by_row_product(4, REGIONS4)[0],
+            ),
         ):
             outcome = solve(spec)
             assert outcome.exhausted and len(outcome.solutions) == expected
@@ -557,14 +559,8 @@ class TestConstructors:
 
 def _classic9_images():
     """Rows, columns and boxes of the 9x9 grid, built without the library."""
-    rows = [r * 9 + c + 1 for r in range(9) for c in range(9)]
-    cols = [c * 9 + r + 1 for r in range(9) for c in range(9)]
-    boxes = [
-        (3 * (b // 3) + k // 3) * 9 + 3 * (b % 3) + k % 3 + 1
-        for b in range(9)
-        for k in range(9)
-    ]
-    return rows, cols, boxes
+    groups = rows_and_columns(9) + box_groups(3)
+    return [sum(groups[k : k + 9], []) for k in (0, 9, 18)]
 
 
 class TestEqualConstraints:

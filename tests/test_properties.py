@@ -70,6 +70,7 @@ from reference_data import (
     SUDOKU_9X9_FIXTURES,
     X3,
     band_order,
+    box_groups,
     count_grids_by_row_product,
     deal_regions,
     exact_cover_solutions,
@@ -330,10 +331,7 @@ def fitted_gerechte_9x9(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if boxes:
         square = shuffled_sudoku_grid(rng, 3)
-        regions = [
-            [27 * (b // 3) + 9 * r + 3 * (b % 3) + c + 1 for r in range(3) for c in range(3)]
-            for b in range(9)
-        ]
+        regions = box_groups(3)
     else:
         square = shuffled_latin_square(rng, 9)
         regions = [sorted(region) for region in deal_regions(square, rng.sample)]
