@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, check, oracle, matrix.  Exit codes: 0 on
 success (solutions found / all checks hold), 1 when a violation or empty
-solution set is found, 2 on input errors.  Each command returns its
+solution set is found, 2 on input errors, a failed self-check
+(``SelfCheckError``) or running out of memory.  Each command returns its
 result, whether it holds and its stderr notes; ``run_cli`` alone prints.
 """
 

@@ -78,11 +78,12 @@ class PuzzleFormatError(GenSudokuError, ValueError):
 
 
 class SearchSpaceError(GenSudokuError, ValueError):
-    """Brute-force enumeration refused: the search space exceeds the guard."""
+    """A search refused past a bound: ``brute_force``'s candidate fill-ins, or
+    the solutions of the CLI's ``solve`` past ``OUTPUT_LIMIT`` entries."""
 
 
 class InvalidCapError(GenSudokuError, ValueError):
-    """A solution cap below 1 was requested."""
+    """A solution cap that is not an int (``bool`` included) or is below 1."""
 
 
 class SelfCheckError(GenSudokuError):

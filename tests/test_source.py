@@ -1,13 +1,15 @@
 """Source guards on the package's own code.
 
-Behaviour must not hide in statements ``python -O`` strips, every error the
-package raises must be a typed ``GenSudokuError``, no function may recurse,
-so no input's size is bounded by the interpreter's recursion limit, the
-solver certifies by one route, leaving the others to the tests as oracles,
-every exported name is used by the package or the acceptance criteria, only
-``run_cli`` writes the CLI's output, importing the CLI loads no ``typing``,
-``dataclasses`` or ``inspect``, and the modules import one way, along one
-chain, with no import inside a function.
+Behaviour must not hide in what ``python -O`` strips or reads differently
+(``assert``, ``__debug__``, ``sys.flags.optimize``), in the package or in
+``reference_data.py``, every error the package raises must be a typed
+``GenSudokuError``, no function may recurse, so no input's size is bounded
+by the interpreter's recursion limit, the solver certifies by one route,
+leaving the others to the tests as oracles, every exported name is used by
+the package or the acceptance criteria, only ``run_cli`` writes the CLI's
+output, importing the CLI loads no ``typing``, ``dataclasses`` or
+``inspect``, and the modules import one way, along one chain, with no
+import inside a function.
 """
 
 import ast
@@ -22,9 +24,10 @@ import gensudoku
 PACKAGE_DIR = Path(gensudoku.__file__).resolve().parent
 
 
-def package_nodes():
+def package_nodes(*extra):
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert modules
+    modules += extra
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             yield path.name, node
@@ -35,6 +38,28 @@ def test_no_assert_statements_in_package():
         f"{name}:{node.lineno}"
         for name, node in package_nodes()
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def optimize_dependent(node):
+    """Whether a node is something ``python -O`` strips or reads differently."""
+    if isinstance(node, ast.Attribute) and node.attr == "optimize":
+        owner = node.value
+        return getattr(owner, "attr", getattr(owner, "id", None)) == "flags"
+    return isinstance(node, ast.Assert) or (
+        isinstance(node, ast.Name) and node.id == "__debug__"
+    )
+
+
+def test_nothing_in_package_or_reference_data_changes_under_python_O():
+    # pytest rewrites the asserts of test modules only, so -O would strip
+    # an assert in reference_data.py as silently as one in the package.
+    reference_data = Path(__file__).with_name("reference_data.py")
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in package_nodes(reference_data)
+        if optimize_dependent(node)
     ]
     assert found == []
 
