@@ -11,7 +11,7 @@ rows / columns / columns for Latin squares.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, product
 
 # check_givens, check_necessary and build_constraint_matrix are not called
@@ -61,7 +61,7 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
 
     Raises InputTypeError when problem is not a ProblemSpec or x not an
     Assignment, DimensionError when x has the wrong length.  Range is
-    checked first; then the certificate, ``_first_fault``, decides and
+    checked first; then the certificate (``_certificate``) decides and
     names the failing clause, a group by its first (constraint, block).
     """
     cells = _checked_cells(problem, x)
@@ -71,7 +71,7 @@ def verify_solution(problem: ProblemSpec, x: Assignment) -> VerificationResult:
             return VerificationResult(
                 False, "range", f"cell {i} holds {value}, outside 1..{n}"
             )
-    fault = _first_fault(problem, cells)
+    fault = _certificate(problem)([1 << value for value in cells])
     if fault is None:
         return VerificationResult(True, None, "all clauses hold")
     groups = problem.distinct_groups
@@ -99,29 +99,33 @@ class SolveOutcome(Record):
         self._set(solutions, nodes_explored, exhausted, [] if diagnostics is None else diagnostics)
 
 
-def _first_fault(problem: ProblemSpec, values: Sequence[int]) -> int | None:
-    """The first clause a filled grid fails, in one bitmask pass, or None.
+def _certificate(problem: ProblemSpec) -> Callable[[Sequence[int]], int | None]:
+    """The problem's ``first_fault(bits)``, built once: a grid's first failed clause or None.
 
-    A group of n cells holds a permutation of 1..n exactly when the OR of
-    ``1 << value`` over its cells is bits 1..n; a value of 0 or above n sets
-    a bit outside them (a negative one cannot be shifted, so callers pass
-    values >= 0).  Such a group has no zero difference and, by
+    ``bits[i]`` is ``1 << value`` of cell i.  A group of n cells holds a
+    permutation of 1..n exactly when the OR of its bits is bits 1..n; a value
+    of 0 or above n sets a bit outside them (a negative one cannot be shifted,
+    so callers pass values >= 0).  Such a group has no zero difference and, by
     ``sign_sum_closed_form``, reconstructs to itself.  Then the givens must
     stand.  A fault is distinct group k, or given k - len(distinct_groups).
     """
     full = ((1 << problem.n) - 1) << 1
     groups = problem.distinct_groups
-    for group in groups:
-        seen = 0
-        for cell in group:
-            seen |= 1 << values[cell]
-        if seen != full:
-            # Found only on failure: an index kept in this loop costs brute_force.
-            return groups.index(group)
-    for k, (cell, value) in enumerate(problem.givens, len(groups)):
-        if values[cell - 1] != value:
-            return k
-    return None
+    givens = problem.givens
+
+    def first_fault(bits: Sequence[int]) -> int | None:
+        for group in groups:
+            seen = 0
+            for cell in group:
+                seen |= bits[cell]
+            if seen != full:
+                return groups.index(group)  # found only on failure: no index per grid
+        for k, (cell, value) in enumerate(givens, len(groups)):
+            if bits[cell - 1] != 1 << value:
+                return k
+        return None
+
+    return first_fault
 
 
 def solve(
@@ -156,8 +160,8 @@ def solve(
     only that value's plane, so the value it stops at is the group's lowest
     with at most one place.  The search stops at the cap or when its stack
     empties, and builds its outcome at that one exit.  Every emitted
-    solution must pass the certificate (``_first_fault``); one that fails
-    raises SelfCheckError, worded by ``verify_solution``, with the grid.
+    solution must pass the certificate (``_certificate``, built once); one that
+    fails raises SelfCheckError, worded by ``verify_solution``, with the grid.
     ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
     is below 1, raises InvalidCapError; a ``problem`` that is not a
     ProblemSpec, InputTypeError.
@@ -214,6 +218,7 @@ def solve(
             hbit = twice & -twice
             twice ^= hbit
             span = max(span, (mask & gmask[hbit.bit_length() - 1]).bit_count())
+    first_fault = _certificate(problem)
     plane = [(1 << total) - 1] * (n + 1)  # bit i: cell i can take v, if free
     sv = [(1 << len(groups)) - 1] * (n + 1)  # bit g of sv[v]: count v's places in g
     by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
@@ -307,7 +312,7 @@ def solve(
             mask = cand[cell]
         elif not free:
             sol = Assignment(n, tuple(values))
-            if _first_fault(problem, values) is not None:
+            if first_fault([1 << value for value in values]) is not None:
                 detail = verify_solution(problem, sol).detail
                 raise SelfCheckError(
                     f"search emitted an invalid solution: {detail}", sol
@@ -398,10 +403,11 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
     """Exhaustive fill-in enumeration filtered by the library's certificate.
 
     Independent of ``solve``'s search: no propagation, no pruning beyond the
-    fixed givens.  One ``product`` over each cell's choices (its given, or
-    1..n) yields every whole grid, the last cell fastest.  Each grid is a
-    node tested by ``_first_fault``; an Assignment is built only for a grid
-    it accepts.  Refuses when n ** free_cells exceeds BRUTE_FORCE_LIMIT.
+    fixed givens.  One ``product`` over each cell's bits (``1 << given``, or
+    ``1 << v`` for v in 1..n) yields every whole grid, the last cell fastest.
+    Each grid is a node tested by the certificate, built once; a grid it
+    accepts is built as an Assignment of its values.  Refuses when
+    n ** free_cells exceeds BRUTE_FORCE_LIMIT.
     """
     require_instance("problem", problem, ProblemSpec)
     n = problem.n
@@ -412,13 +418,14 @@ def brute_force(problem: ProblemSpec) -> SolveOutcome:
             f"{n}^{free} candidate fill-ins exceed the {BRUTE_FORCE_LIMIT} bound"
         )
     outcome = SolveOutcome(nodes_explored=n**free, exhausted=True)
+    first_fault = _certificate(problem)
+    bits = [1 << value for value in range(1, n + 1)]
     choices = [
-        (given_map[i],) if i in given_map else range(1, n + 1)
-        for i in range(1, n * n + 1)
+        (1 << given_map[i],) if i in given_map else bits for i in range(1, n * n + 1)
     ]
     for grid in product(*choices):
-        if _first_fault(problem, grid) is None:
-            outcome.solutions.append(Assignment(n, grid))
+        if first_fault(grid) is None:
+            outcome.solutions.append(Assignment(n, tuple(b.bit_length() - 1 for b in grid)))
     return outcome
 
 

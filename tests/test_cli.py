@@ -333,7 +333,7 @@ class TestSolveCommand:
     def test_selfcheck_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # A certificate that blames the first given rejects every grid.
         monkeypatch.setattr(
-            gensudoku.problems, "_first_fault", lambda p, values: len(p.distinct_groups)
+            gensudoku.problems, "_certificate", lambda p: lambda bits: len(p.distinct_groups)
         )
         puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n0 0\n")
         assert run_cli(["solve", puzzle]) == 2

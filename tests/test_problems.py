@@ -217,22 +217,28 @@ class TestBruteForce:
         ids=["latin3-first-row", "latin3-full", "classic4-six-blanks"],
     )
     def test_certifies_every_fill_and_builds_only_accepted_ones(self, spec, monkeypatch):
-        # The bench credits brute_force with n ** free candidates: none may be skipped.
-        certify, build = gensudoku.problems._first_fault, gensudoku.problems.Assignment
+        # The bench credits brute_force with n ** free candidates: none may be
+        # skipped.  Each is tested as bits; only an accepted one is built, as values.
+        certificate, build = gensudoku.problems._certificate, gensudoku.problems.Assignment
         tested, accepted, built = [], [], []
 
-        def counting(problem, values):
-            tested.append(tuple(values))
-            fault = certify(problem, values)
-            if fault is None:
-                accepted.append(tuple(values))
-            return fault
+        def counting_certificate(problem):
+            certify = certificate(problem)
+
+            def counting(bits):
+                tested.append(tuple(bits))
+                fault = certify(bits)
+                if fault is None:
+                    accepted.append(tuple(bit.bit_length() - 1 for bit in bits))
+                return fault
+
+            return counting
 
         def building(n, cells):
             built.append(tuple(cells))
             return build(n, cells)
 
-        monkeypatch.setattr(gensudoku.problems, "_first_fault", counting)
+        monkeypatch.setattr(gensudoku.problems, "_certificate", counting_certificate)
         monkeypatch.setattr(gensudoku.problems, "Assignment", building)
         outcome = brute_force(spec)
         n = spec.n
@@ -265,6 +271,35 @@ class TestBruteForce:
         outcome = brute_force(make_latin_spec(3, givens=((1, 1), (2, 2), (3, 3))))
         assert len(outcome.solutions) == 2
         assert all(s.cells[:3] == (1, 2, 3) for s in outcome.solutions)
+
+
+@pytest.mark.parametrize(
+    "run,spec,tests",
+    [
+        (brute_force, make_classic_spec(4, givens=CLASSIC4_SIX_BLANKS), 4**6),
+        (solve, make_classic_spec(4), 288),
+    ],
+    ids=["brute_force", "solve"],
+)
+def test_certificate_is_built_once_per_call(run, spec, tests, monkeypatch):
+    # One build per call, then one test per fill-in (brute_force) or per
+    # solution (solve): the constants are read once, not per grid.
+    certificate, built, tested = gensudoku.problems._certificate, [], []
+
+    def counting_certificate(problem):
+        built.append(problem)
+        certify = certificate(problem)
+
+        def counting(bits):
+            tested.append(1)
+            return certify(bits)
+
+        return counting
+
+    monkeypatch.setattr(gensudoku.problems, "_certificate", counting_certificate)
+    run(spec)
+    assert built == [spec]
+    assert len(tested) == tests
 
 
 class TestSolve:
@@ -338,7 +373,7 @@ class TestSolve:
         # A certificate that blames the first given rejects every grid, and
         # verify_solution words the fault it names.
         monkeypatch.setattr(
-            gensudoku.problems, "_first_fault", lambda p, values: len(p.distinct_groups)
+            gensudoku.problems, "_certificate", lambda p: lambda bits: len(p.distinct_groups)
         )
         with pytest.raises(
             SelfCheckError, match="invalid solution: cell 1 holds 1, given is 1$"
@@ -365,7 +400,8 @@ class TestSolve:
                 for _ in range(rng.choice((0, 0, 1, 2))):
                     cells[rng.randrange(n * n)] = rng.randint(0, n + 1)
                 result = verify_solution(spec, Assignment(n, cells))
-                assert (gensudoku.problems._first_fault(spec, cells) is None) == result.ok
+                bits = [1 << value for value in cells]
+                assert (gensudoku.problems._certificate(spec)(bits) is None) == result.ok
                 clauses.add(result.clause)
             assert clauses == {None, "range", "constraint", "given"}
 
