@@ -31,7 +31,7 @@ class Permutation(Record):
 
     def __init__(self, images: tuple[int, ...]):
         images = as_tuple("images", images)
-        ints = all(type(img) is int for img in images)  # sorted() fails on str
+        ints = {int}.issuperset(map(type, images))  # sorted() fails on str
         if not ints or sorted(images) != list(range(1, len(images) + 1)):
             message = f"images {images!r} are not a bijection on 1..{len(images)}"
             raise InvalidPermutationError(message)

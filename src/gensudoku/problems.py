@@ -108,6 +108,8 @@ def _certificate(problem: ProblemSpec) -> Callable[[Sequence[int]], int | None]:
     so callers pass values >= 0).  Such a group has no zero difference and, by
     ``sign_sum_closed_form``, reconstructs to itself.  Then the givens must
     stand.  A fault is distinct group k, or given k - len(distinct_groups).
+    ``first_fault`` reads ``bits`` and keeps no reference to it, so a caller
+    may go on writing the list it passed.
     """
     full = ((1 << problem.n) - 1) << 1
     groups = problem.distinct_groups
@@ -158,10 +160,17 @@ def solve(
     a branch node whose pass left nothing stale.  The pass walks its stop
     group for every lower value, and a later value's locked step changes
     only that value's plane, so the value it stops at is the group's lowest
-    with at most one place.  The search stops at the cap or when its stack
-    empties, and builds its outcome at that one exit.  Every emitted
-    solution must pass the certificate (``_certificate``, built once); one that
-    fails raises SelfCheckError, worded by ``verify_solution``, with the grid.
+    with at most one place.  Four walks over set bits are the search order
+    and take the lowest bit first: the pass's walk over stale groups (it
+    stops at the lowest), the low cell, the MRV cell and the value tried;
+    another order there changes the nodes.  Every other bit loop only ORs
+    into the state or takes a max, so its order cannot change the result, and
+    it takes the top bit, which needs fewer big-int operations.  The search stops at the cap or when its stack empties, and
+    builds its outcome at that one exit.  It keeps ``onehot[i] = 1 <<
+    values[i]``, stale at a freed cell until the cell is placed again, as
+    ``values`` is; at a full grid it certifies that list (``_certificate``,
+    built once).  A solution that fails raises SelfCheckError, worded by
+    ``verify_solution``, with the grid.
     ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
     is below 1, raises InvalidCapError; a ``problem`` that is not a
     ProblemSpec, InputTypeError.
@@ -215,10 +224,11 @@ def solve(
             peers[cell] |= mask
             cand[cell] &= ~used
         while twice:
-            hbit = twice & -twice
-            twice ^= hbit
-            span = max(span, (mask & gmask[hbit.bit_length() - 1]).bit_count())
+            h = twice.bit_length() - 1
+            twice ^= 1 << h
+            span = max(span, (mask & gmask[h]).bit_count())
     first_fault = _certificate(problem)
+    onehot = [1 << value for value in values]  # 1 << values[i], stale where values is
     plane = [(1 << total) - 1] * (n + 1)  # bit i: cell i can take v, if free
     sv = [(1 << len(groups)) - 1] * (n + 1)  # bit g of sv[v]: count v's places in g
     by_count = [0] * (n + 1)  # bit i of by_count[k]: free cell i has k candidates
@@ -275,9 +285,9 @@ def solve(
                                 continue
                             lost = 0
                             while hs:
-                                hbit = hs & -hs
-                                hs ^= hbit
-                                h = gmask[hbit.bit_length() - 1]
+                                k = hs.bit_length() - 1
+                                hs ^= 1 << k
+                                h = gmask[k]
                                 if p & h == p:
                                     lost |= (places & h) ^ p
                             if lost:
@@ -286,15 +296,14 @@ def solve(
                                 stack.append((~v, 0, lost, slices))
                                 bit = 1 << v
                                 while lost:
-                                    pbit = lost & -lost
-                                    lost ^= pbit
-                                    peer = pbit.bit_length() - 1
+                                    peer = lost.bit_length() - 1
+                                    lost ^= 1 << peer
                                     m = cand[peer] ^ bit
                                     cand[peer] = m
                                     sv[v] |= group_bits[peer]
                                     todo |= group_bits[peer] & below
                                     if not m & (m - 1):
-                                        low |= pbit
+                                        low |= 1 << peer
                                         dead = dead or not m
                     sv[v] &= ~below  # every stale pair under `below` was counted
         if stop >= 0:
@@ -312,7 +321,7 @@ def solve(
             mask = cand[cell]
         elif not free:
             sol = Assignment(n, tuple(values))
-            if first_fault([1 << value for value in values]) is not None:
+            if first_fault(onehot) is not None:
                 detail = verify_solution(problem, sol).detail
                 raise SelfCheckError(
                     f"search emitted an invalid solution: {detail}", sol
@@ -356,9 +365,9 @@ def solve(
                 plane[value] ^= back
                 bit = 1 << value
                 while back:
-                    peer = back & -back
-                    back ^= peer
-                    cand[peer.bit_length() - 1] |= bit
+                    peer = back.bit_length() - 1
+                    back ^= 1 << peer
+                    cand[peer] |= bit
                 if mask:
                     break
             else:
@@ -370,6 +379,7 @@ def solve(
         value = bit.bit_length() - 1
         nodes += 1
         values[cell] = value
+        onehot[cell] = bit
         low &= ~cbit
         free ^= cbit
         lost = plane[value] & peers[cell] & free
@@ -377,14 +387,13 @@ def solve(
         stack.append((cell, mask ^ bit, lost, slices))
         touched = 0
         while lost:
-            pbit = lost & -lost
-            lost ^= pbit
-            peer = pbit.bit_length() - 1
+            peer = lost.bit_length() - 1
+            lost ^= 1 << peer
             m = cand[peer] ^ bit
             cand[peer] = m
             touched |= group_bits[peer]
             if not m & (m - 1):
-                low |= pbit
+                low |= 1 << peer
                 dead = dead or not m
         # v is no longer missing from the cell's groups, and each of its
         # other candidates lost a place in each of them.
@@ -392,9 +401,9 @@ def solve(
         sv[value] = (sv[value] | touched) & ~own
         others = cand[cell] ^ bit
         while others:
-            wbit = others & -others
-            others ^= wbit
-            sv[wbit.bit_length() - 1] |= own
+            w = others.bit_length() - 1
+            others ^= 1 << w
+            sv[w] |= own
     # The loop ends at the cap or, exhausted, when the stack empties short of it.
     return SolveOutcome(solutions, nodes, len(solutions) != cap)
 

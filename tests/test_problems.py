@@ -27,10 +27,12 @@ from gensudoku import (
     make_classic_spec,
     make_gerechte_spec,
     make_latin_spec,
+    parse_dot_string,
     solve,
     verify_solution,
 )
 from reference_data import (
+    INKALA,
     REGION3_GROUPS,
     X3,
     box_groups,
@@ -300,6 +302,36 @@ def test_certificate_is_built_once_per_call(run, spec, tests, monkeypatch):
     run(spec)
     assert built == [spec]
     assert len(tested) == tests
+
+
+@pytest.mark.parametrize(
+    "spec,cap,count",
+    [
+        (make_classic_spec(4), None, 288),
+        (make_latin_spec(5, givens=((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))), None, 1344),
+        (make_gerechte_spec(Partition(4, REGIONS4)), None, 96),
+        (make_classic_spec(9, parse_dot_string(INKALA).givens()), 2, 1),
+    ],
+    ids=["classic4-lock-steps", "latin5-first-row", "gerechte4", "inkala-cap2-dead-ends"],
+)
+def test_certificate_sees_each_solutions_one_hot_grid(spec, cap, count, monkeypatch):
+    # solve certifies the one-hot grid it keeps as it places values, across
+    # backtracks; it goes on writing that list, so the recorder copies it.
+    certificate, seen = gensudoku.problems._certificate, []
+
+    def recording_certificate(problem):
+        certify = certificate(problem)
+
+        def recording(bits):
+            seen.append(list(bits))
+            return certify(bits)
+
+        return recording
+
+    monkeypatch.setattr(gensudoku.problems, "_certificate", recording_certificate)
+    outcome = solve(spec, cap=cap)
+    assert len(outcome.solutions) == count
+    assert seen == [[1 << value for value in s.cells] for s in outcome.solutions]
 
 
 class TestSolve:
