@@ -169,8 +169,8 @@ def solve(
     builds its outcome at that one exit.  It keeps ``onehot[i] = 1 <<
     values[i]``, stale at a freed cell until the cell is placed again, as
     ``values`` is; at a full grid it certifies that list (``_certificate``,
-    built once).  A solution that fails raises SelfCheckError, worded by
-    ``verify_solution``, with the grid.
+    built once).  A grid that fails raises SelfCheckError with the grid it
+    certified, read off ``onehot`` and worded by ``verify_solution``.
     ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
     is below 1, raises InvalidCapError; a ``problem`` that is not a
     ProblemSpec, InputTypeError.
@@ -320,13 +320,14 @@ def solve(
             cell = (low & -low).bit_length() - 1
             mask = cand[cell]
         elif not free:
-            sol = Assignment(n, tuple(values))
             if first_fault(onehot) is not None:
+                # Report the grid certified; values may not match it.
+                sol = Assignment(n, tuple(b.bit_length() - 1 for b in onehot))
                 detail = verify_solution(problem, sol).detail
                 raise SelfCheckError(
                     f"search emitted an invalid solution: {detail}", sol
                 )
-            solutions.append(sol)
+            solutions.append(Assignment(n, tuple(values)))
             if len(solutions) == cap:
                 break
             mask = 0

@@ -277,19 +277,6 @@ class TestCheckCommand:
         out = capsys.readouterr().out.splitlines()
         assert all("NOT-APPLICABLE (zero difference at row 1)" in line for line in out)
 
-    def test_json_mirrors_report_fields(self, tmp_path, capsys):
-        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
-        solved = write(tmp_path, "s.txt", LATIN3_SOLVED)
-        assert run_cli(["check", puzzle, solved, "--format", "json"]) == 0
-        reports = json.loads(capsys.readouterr().out)
-        assert [r["constraint_id"] for r in reports] == [1, 2, 3]
-        assert all(
-            set(r) == {"constraint_id", "holds", "reconstructed",
-                       "first_violation", "zero_rows"}
-            for r in reports
-        )
-        assert all(r["holds"] for r in reports)
-
     def test_contradicted_given_is_a_note_and_exits_1(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 4\n4 0 0 0\n" + "0 0 0 0\n" * 3)
         solved = write(tmp_path, "s.txt", CLASSIC4_SOLVED)
@@ -309,14 +296,6 @@ class TestSolveCommand:
         assert out.count("solution ") == 2
         assert "solutions 2" in out
         assert "exhausted true" in out
-
-    def test_cap_and_json(self, tmp_path, capsys):
-        puzzle = write(tmp_path, "p.txt", LATIN3_PUZZLE)
-        assert run_cli(["solve", puzzle, "--cap", "3", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert len(data["solutions"]) == 3
-        assert data["exhausted"] is False
-        assert set(data) == {"solutions", "nodes_explored", "exhausted", "diagnostics"}
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n0 2\n")
@@ -464,12 +443,6 @@ class TestOracleCommand:
             "exhausted": True,
             "diagnostics": [],
         }
-
-    def test_no_solution_json_exits_1(self, tmp_path, capsys):
-        puzzle = write(tmp_path, "p.txt", "n 2\n1 0\n1 0\n")
-        assert run_cli(["oracle", puzzle, "--format", "json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert data["solutions"] == [] and data["nodes_explored"] == 4
 
     def test_refusal_is_input_error(self, tmp_path, capsys):
         puzzle = write(tmp_path, "p.txt", "n 4\n" + "\n".join(["0 0 0 0"] * 4))
