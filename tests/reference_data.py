@@ -32,6 +32,8 @@ free cell's candidates, where ``solve`` keeps a flag, and finds places
 locked in another group from the groups their first two cells share,
 where ``solve`` tries the groups holding their first and last cells.
 ``time_bound`` fails a test whose block runs past a number of seconds.
+``digest_draw`` draws one problem of the search digest's family from
+``random.Random(DIGEST_SEED)``, for the digest and the mutants it pins.
 """
 
 import contextlib
@@ -41,6 +43,8 @@ import time
 from itertools import permutations as iter_permutations
 
 import pytest
+
+from gensudoku import Partition, make_classic_spec, make_gerechte_spec, make_latin_spec
 
 A9_DENSE = (
     (1, -1, 0, 0, 0, 0, 0, 0, 0),
@@ -190,6 +194,34 @@ def box_groups(m):
         [m * n * (b // m) + n * r + m * (b % m) + c + 1 for r in range(m) for c in range(m)]
         for b in range(n)
     ]
+
+
+DIGEST_SEED = 20261020
+
+
+def digest_draw(rng):
+    """One (spec, cap) of the search digest's families (``test_search_digest``)."""
+    family = rng.choice(("latin", "classic", "gerechte"))
+    if family == "classic":
+        m = rng.choice((2, 3))
+        n = m * m
+        square = shuffled_sudoku_grid(rng, m)
+        make = make_classic_spec
+    else:
+        n = rng.randint(3, 7) if family == "latin" else rng.randint(4, 7)
+        square = shuffled_latin_square(rng, n)
+        make = make_latin_spec
+        if family == "gerechte":
+            regions = [sorted(region) for region in deal_regions(square, rng.sample)]
+            make = lambda n, g: make_gerechte_spec(Partition(n, regions), g)
+    cap = rng.choice((1, 2, 3, None))
+    count = rng.randint(0 if cap else n * n // 2, n * n)
+    cells = rng.sample(range(1, n * n + 1), count)
+    givens = [(c, square[c - 1]) for c in cells]
+    if givens and rng.random() < 0.3:
+        i = rng.randrange(len(givens))
+        givens[i] = (givens[i][0], rng.randint(1, n))
+    return make(n, givens), cap
 
 
 def reference_verify(spec, cells):

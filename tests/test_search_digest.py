@@ -19,47 +19,21 @@ a script to print both for the current code.
 import hashlib
 import random
 
-from gensudoku import Partition, make_classic_spec, make_gerechte_spec, make_latin_spec, solve
-from reference_data import deal_regions, shuffled_latin_square, shuffled_sudoku_grid, time_bound
+from gensudoku import solve
+from reference_data import DIGEST_SEED, digest_draw, time_bound
 
-SEED = 20261020
 DRAWS = 1000
 DIGEST = "ee4dd9cb3e1b56f1b52a5c0594250236c56c671e0fae144b72ee33a0dba63d52"
 TOTAL_NODES = 347_809
 
 
-def draw(rng):
-    """One (spec, cap) of the families above."""
-    family = rng.choice(("latin", "classic", "gerechte"))
-    if family == "classic":
-        m = rng.choice((2, 3))
-        n = m * m
-        square = shuffled_sudoku_grid(rng, m)
-        make = make_classic_spec
-    else:
-        n = rng.randint(3, 7) if family == "latin" else rng.randint(4, 7)
-        square = shuffled_latin_square(rng, n)
-        make = make_latin_spec
-        if family == "gerechte":
-            regions = [sorted(region) for region in deal_regions(square, rng.sample)]
-            make = lambda n, g: make_gerechte_spec(Partition(n, regions), g)
-    cap = rng.choice((1, 2, 3, None))
-    count = rng.randint(0 if cap else n * n // 2, n * n)
-    cells = rng.sample(range(1, n * n + 1), count)
-    givens = [(c, square[c - 1]) for c in cells]
-    if givens and rng.random() < 0.3:
-        i = rng.randrange(len(givens))
-        givens[i] = (givens[i][0], rng.randint(1, n))
-    return make(n, givens), cap
-
-
 def search_digest():
     """The sha256 hex digest over every draw's outcome, and the total nodes."""
-    rng = random.Random(SEED)
+    rng = random.Random(DIGEST_SEED)
     digest = hashlib.sha256()
     total = 0
     for _ in range(DRAWS):
-        spec, cap = draw(rng)
+        spec, cap = digest_draw(rng)
         outcome = solve(spec, cap=cap)
         solutions = [s.cells for s in outcome.solutions]
         record = (outcome.nodes_explored, solutions, outcome.exhausted, outcome.diagnostics)
