@@ -31,6 +31,8 @@ single by different routes.  It finds a dead cell by recounting every
 free cell's candidates, where ``solve`` keeps a flag, and finds places
 locked in another group from the groups their first two cells share,
 where ``solve`` tries the groups holding their first and last cells.
+Of two-candidate cells tied to be branched on, it counts each one's free
+peers as a set over its groups, where ``solve`` ANDs two masks.
 ``time_bound`` fails a test whose block runs past a number of seconds.
 ``digest_draw`` draws one problem of the search digest's family from
 ``random.Random(DIGEST_SEED)``, for the digest and the mutants it pins.
@@ -358,13 +360,16 @@ def reference_search(spec, cap=None):
     leaves that group's other cells, and their groups are walked again.
     The stop group is decided by recounting its cells' masks; without one,
     a cell the walk left dead or with one candidate comes next, and then
-    the free cell with the fewest candidates.  It finds that other group
-    from the groups its first two places share, not from those its first
-    and last places share, as ``solve`` does, and undoes every candidate it
-    clears, by placing or by the walk, from one trail.  It builds the
-    distinct groups from the spec's permutations itself and returns the
-    grids as tuples, uncertified; givens that repeat a value in a group
-    give no solutions, no nodes and ``exhausted``.
+    the free cell with the fewest candidates, the lowest of them.  When the
+    fewest is two, it takes the one with the most free cells in its groups
+    instead, the lowest of those; it counts them as a set over
+    ``cell_groups``, where ``solve`` ANDs a peer mask with its free mask.
+    It finds that other group from the groups its first two places share,
+    not from those its first and last places share, as ``solve`` does, and
+    undoes every candidate it clears, by placing or by the walk, from one
+    trail.  It builds the distinct groups from the spec's permutations
+    itself and returns the grids as tuples, uncertified; givens that repeat
+    a value in a group give no solutions, no nodes and ``exhausted``.
     """
     n = spec.n
     total = n * n
@@ -407,6 +412,9 @@ def reference_search(spec, cap=None):
         cand[cell] ^= bit
         places[bit.bit_length() - 1] ^= 1 << cell
         trail.append((cell, bit))
+
+    def free_in_groups(cell):
+        return len({c for g in cell_groups[cell] for c in groups[g] if not values[c]})
 
     stack = []  # (cell, values still to try, trail mark)
     while True:
@@ -458,8 +466,14 @@ def reference_search(spec, cap=None):
             if cap is not None and len(solutions) >= cap:
                 return solutions, nodes, False
         else:
-            # The lowest cell with one candidate, else the lowest with fewest.
-            best = free[counts.index(min(counts))]
+            # The lowest cell with one candidate, else the lowest with fewest;
+            # but of cells with two, the one with the most free cells in its
+            # groups, itself among them, and the lowest of those.
+            fewest = min(counts)
+            best = free[counts.index(fewest)]
+            if fewest == 2:
+                tied = [c for c, k in zip(free, counts) if k == 2]
+                best = max(tied, key=lambda c: (free_in_groups(c), -c))
             stack.append((best, cand[best], len(trail)))
         # Backtrack to the deepest cell with a value left and place its lowest.
         while stack:

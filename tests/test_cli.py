@@ -346,7 +346,7 @@ class TestSolveCommand:
         assert run_cli(["solve", puzzle]) == 0
         out = capsys.readouterr().out
         assert out.count("solution ") == 288
-        assert out.endswith("solutions 288 nodes 2272 exhausted true\n")
+        assert out.endswith("solutions 288 nodes 2176 exhausted true\n")
         monkeypatch.setattr(gensudoku.cli, "OUTPUT_LIMIT", 288 * 16 - 1)
         assert run_cli(["solve", puzzle]) == 2
         refusal = "more than 287 solutions of 16 cells exceed the 4607 bound; use --cap K"

@@ -66,6 +66,20 @@ MUTANTS = {
         "stale (group, value) marks",
         None,
     ),
+    "two-candidate ties with equal free peers sent to the highest cell": (
+        "problems",
+        "if degree >= most:",
+        "if degree > most:",
+        "the two-candidate tie rule",
+        None,
+    ),
+    "the free-peer tie rule applied at every tie": (
+        "problems",
+        "if fewest != 1 << cell and mask.bit_count() == 2:",
+        "if fewest != 1 << cell:",
+        "the two-candidate tie rule",
+        None,
+    ),
 }
 
 

@@ -23,8 +23,8 @@ from gensudoku import solve
 from reference_data import DIGEST_SEED, digest_draw, time_bound
 
 DRAWS = 1000
-DIGEST = "ee4dd9cb3e1b56f1b52a5c0594250236c56c671e0fae144b72ee33a0dba63d52"
-TOTAL_NODES = 347_809
+DIGEST = "8a453219bc40fb26ca8d5e708f1c1f27d517bdfee5543273d0acd7bca74206c8"
+TOTAL_NODES = 310_953
 
 
 def search_digest():
