@@ -108,13 +108,9 @@ class ProblemSpec(Record):
         check and search on the spec shares one copy.
         """
         n = self.n
-        return tuple(
-            tuple(
-                tuple(image - 1 for image in perm.images[b * n : (b + 1) * n])
-                for b in range(n)
-            )
-            for perm in self.constraints
-        )
+        cells = [image - 1 for perm in self.constraints for image in perm.images]
+        groups = [tuple(cells[k : k + n]) for k in range(0, len(cells), n)]
+        return tuple(tuple(groups[k : k + n]) for k in range(0, len(groups), n))
 
     def constraint_matrices(self) -> list[ConstraintMatrix]:
         return [build_constraint_matrix(self.n, perm) for perm in self.constraints]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from itertools import product
+from itertools import chain, product
 
 from .errors import (
     DimensionError,
@@ -108,7 +108,8 @@ def transpose_permutation(n: int) -> Permutation:
     require_int("n", n)
     if n < 1:
         raise InvalidPermutationError(f"n must be >= 1, got {n}")
-    return Permutation(tuple(c * n + r for r in range(1, n + 1) for c in range(n)))
+    columns = (range(r, n * n + 1, n) for r in range(1, n + 1))
+    return Permutation(tuple(chain.from_iterable(columns)))
 
 
 def block_permutation(n: int) -> Permutation:
@@ -121,9 +122,10 @@ def block_permutation(n: int) -> Permutation:
     if n < 4 or math.isqrt(n) ** 2 != n:
         raise InvalidPermutationError(f"n must be a perfect square >= 4, got {n}")
     m = math.isqrt(n)
-    # Tableau row a*m + b is subsquare (a, b); its entry i*m + j is cell (i, j).
-    quads = product(range(m), repeat=4)
-    return Permutation(tuple((a * m + i) * n + b * m + j + 1 for a, b, i, j in quads))
+    # Tableau row a*m + b is subsquare (a, b); its entry i*m + j is cell (i, j),
+    # so its entries i*m .. i*m + m - 1 are m cells side by side.
+    starts = ((a * m + i) * n + b * m + 1 for a, b, i in product(range(m), repeat=3))
+    return Permutation(tuple(chain.from_iterable(range(s, s + m) for s in starts)))
 
 
 def partition_permutation(part: Partition) -> Permutation:
