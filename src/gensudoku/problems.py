@@ -358,8 +358,7 @@ def solve(
             for s in reversed(slices):
                 fewest = fewest & ~s or fewest
             cell = (fewest & -fewest).bit_length() - 1
-            mask = cand[cell]
-            if fewest != 1 << cell and mask.bit_count() == 2:
+            if fewest != 1 << cell and cand[cell].bit_count() == 2:
                 # Two candidates each: the cell with the most free peers
                 # (lowest on ties) is the one whose choice prunes most.
                 most = 0
@@ -369,7 +368,7 @@ def solve(
                     degree = (peers[c] & free).bit_count()
                     if degree >= most:
                         cell, most = c, degree
-                mask = cand[cell]
+            mask = cand[cell]
         if not mask:
             # A dead end or a solution: undo back to the deepest cell with a
             # value left.  Only a branch node's frame has one, pushed just

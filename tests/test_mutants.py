@@ -75,7 +75,7 @@ MUTANTS = {
     ),
     "the free-peer tie rule applied at every tie": (
         "problems",
-        "if fewest != 1 << cell and mask.bit_count() == 2:",
+        "if fewest != 1 << cell and cand[cell].bit_count() == 2:",
         "if fewest != 1 << cell:",
         "the two-candidate tie rule",
         None,
