@@ -178,11 +178,11 @@ def solve(
     empties, and builds its outcome at that one exit.  It keeps
     ``onehot[i] = 1 << values[i]``, stale at a freed cell until the cell is
     placed again, as ``values`` is; at a full grid it certifies that list
-    (``_certificate``, built once).  A grid that fails raises SelfCheckError with the grid it
-    certified, read off ``onehot`` and worded by ``verify_solution``.
-    ``selfcheck`` is accepted and ignored.  A ``cap`` that is not an int, or
-    is below 1, raises InvalidCapError; a ``problem`` that is not a
-    ProblemSpec, InputTypeError.
+    (``_certificate``, built once).  A grid that fails raises SelfCheckError
+    with the grid it certified, read off ``onehot`` and worded by
+    ``verify_solution``.  ``selfcheck`` is accepted and ignored.  A ``cap``
+    that is not an int, or is below 1, raises InvalidCapError; a
+    ``problem`` that is not a ProblemSpec, InputTypeError.
     """
     require_instance("problem", problem, ProblemSpec)
     if cap is not None:
@@ -359,8 +359,8 @@ def solve(
                 fewest = fewest & ~s or fewest
             cell = (fewest & -fewest).bit_length() - 1
             if fewest != 1 << cell and cand[cell].bit_count() == 2:
-                # Two candidates each: the cell with the most free peers
-                # (lowest on ties) is the one whose choice prunes most.
+                # Two candidates each: take the cell with the most free peers,
+                # the lowest of equals, whose value strikes the most cells.
                 most = 0
                 while fewest:
                     c = fewest.bit_length() - 1
