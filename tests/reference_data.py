@@ -35,7 +35,8 @@ Of two-candidate cells tied to be branched on, it counts each one's free
 peers as a set over its groups, where ``solve`` ANDs two masks.
 ``time_bound`` fails a test whose block runs past a number of seconds.
 ``digest_draw`` draws one problem of the search digest's family from
-``random.Random(DIGEST_SEED)``, for the digest and the mutants it pins.
+``random.Random(DIGEST_SEED)``, and ``outcome_record`` is what the digest
+and the mutant checks record of each search.
 """
 
 import contextlib
@@ -224,6 +225,12 @@ def digest_draw(rng):
         i = rng.randrange(len(givens))
         givens[i] = (givens[i][0], rng.randint(1, n))
     return make(n, givens), cap
+
+
+def outcome_record(outcome):
+    """A SolveOutcome's (nodes, solution cells, exhausted, diagnostics)."""
+    solutions = [s.cells for s in outcome.solutions]
+    return outcome.nodes_explored, solutions, outcome.exhausted, outcome.diagnostics
 
 
 def reference_verify(spec, cells):

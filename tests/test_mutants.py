@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import gensudoku.problems
-from reference_data import DIGEST_SEED, digest_draw, time_bound
+from reference_data import DIGEST_SEED, digest_draw, outcome_record, time_bound
 
 DRAWS = 200
 SECONDS = 5
@@ -90,13 +90,8 @@ def draws():
 
 
 def outcomes(solve):
-    """Each draw's (nodes, solution cells, exhausted, diagnostics), in order."""
-    records = []
-    for spec, cap in draws():
-        outcome = solve(spec, cap=cap)
-        solutions = [s.cells for s in outcome.solutions]
-        records.append((outcome.nodes_explored, solutions, outcome.exhausted, outcome.diagnostics))
-    return records
+    """Each draw's ``outcome_record``, in order."""
+    return [outcome_record(solve(spec, cap=cap)) for spec, cap in draws()]
 
 
 @cache

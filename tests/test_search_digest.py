@@ -1,9 +1,9 @@
 """A digest of ``solve``'s search over a fixed list of seeded draws.
 
-Each draw is a Latin 3x3 to 7x7, a classic 4x4 or 9x9, or a gerechte 4x4
-to 7x7 problem whose regions are scattered: each value's cells of a
-shuffled cyclic Latin square are dealt one to each region, so the square
-solves it.  The givens are any number of the square's cells; in 30% of
+Each draw (``reference_data.digest_draw``) is a Latin 3x3 to 7x7, a
+classic 4x4 or 9x9, or a gerechte 4x4 to 7x7 problem whose regions are
+scattered: each value's cells of a shuffled cyclic Latin square are dealt
+one to each region, so the square solves it.  The givens are any number of the square's cells; in 30% of
 the draws one of them is changed to any value, which may leave no solution
 or repeat a value in a group.  The cap is 1, 2, 3 or none; with none, at
 least half the cells are given, which keeps every enumeration small.
@@ -20,7 +20,7 @@ import hashlib
 import random
 
 from gensudoku import solve
-from reference_data import DIGEST_SEED, digest_draw, time_bound
+from reference_data import DIGEST_SEED, digest_draw, outcome_record, time_bound
 
 DRAWS = 1000
 DIGEST = "8a453219bc40fb26ca8d5e708f1c1f27d517bdfee5543273d0acd7bca74206c8"
@@ -35,9 +35,7 @@ def search_digest():
     for _ in range(DRAWS):
         spec, cap = digest_draw(rng)
         outcome = solve(spec, cap=cap)
-        solutions = [s.cells for s in outcome.solutions]
-        record = (outcome.nodes_explored, solutions, outcome.exhausted, outcome.diagnostics)
-        digest.update(repr(record).encode())
+        digest.update(repr(outcome_record(outcome)).encode())
         total += outcome.nodes_explored
     return digest.hexdigest(), total
 
