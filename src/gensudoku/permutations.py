@@ -13,6 +13,7 @@ from itertools import chain, product
 
 from .errors import (
     DimensionError,
+    InputTypeError,
     InvalidPartitionError,
     InvalidPermutationError,
     Record,
@@ -69,6 +70,8 @@ class Partition(Record):
 
     Group order is the caller's order (it fixes the layout of the induced
     constraint matrix); cells within each group are kept strictly ascending.
+    An ``n`` or cell that is not an int (``bool`` included) raises
+    InputTypeError; any other fault, InvalidPartitionError.
     """
 
     __match_args__ = ("n", "groups")
@@ -84,8 +87,10 @@ class Partition(Record):
                 message = f"group {group!r} has {len(group)} cells, expected {n}"
                 raise InvalidPartitionError(message)
             for prev, cell in zip((None,) + group, group):
-                if type(cell) is not int or not 1 <= cell <= n * n:
-                    raise InvalidPartitionError(f"cell {cell!r} outside 1..{n * n}", cell=cell)
+                if type(cell) is not int:
+                    raise InputTypeError(f"cell {cell!r} must be an int, got {type(cell).__name__}")
+                if not 1 <= cell <= n * n:
+                    raise InvalidPartitionError(f"cell {cell} outside 1..{n * n}", cell=cell)
                 if seen[cell]:
                     raise InvalidPartitionError(f"cell {cell} appears in two groups", cell=cell)
                 if prev is not None and prev >= cell:

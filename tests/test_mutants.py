@@ -26,13 +26,7 @@ import pytest
 
 import gensudoku.problems
 from gensudoku import Partition, make_gerechte_spec, make_latin_spec
-from reference_data import (
-    DIGEST_SEED,
-    REGION3_GROUPS,
-    digest_draw,
-    outcome_record,
-    time_bound,
-)
+from reference_data import DIGEST_SEED, REGION3_GROUPS, digest_draw, outcome_record, time_bound
 
 DRAWS = 200
 SECONDS = 5

@@ -171,6 +171,9 @@ class TestPartition:
         with pytest.raises(InvalidPartitionError, match="^cell 0 outside 1..4$") as info:
             Partition(2, ((0, 1), (2, 3)))
         assert info.value.cell == 0
+        for cell, kind in ((True, "bool"), (2.0, "float"), ("a", "str")):
+            with pytest.raises(InputTypeError, match=f"^cell {cell!r} must be an int, got {kind}$"):
+                Partition(2, ((1, cell), (3, 4)))
 
     def test_descending_group_reported(self):
         with pytest.raises(InvalidPartitionError, match="got 2 before 1$") as info:

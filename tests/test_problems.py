@@ -250,16 +250,6 @@ class TestBruteForce:
         assert built == accepted == [s.cells for s in outcome.solutions]
         assert accepted
 
-    def test_latin2(self):
-        outcome = brute_force(make_latin_spec(2))
-        assert len(outcome.solutions) == 2
-        assert outcome.nodes_explored == 16
-        assert outcome.exhausted
-
-    def test_latin3(self):
-        outcome = brute_force(make_latin_spec(3))
-        assert len(outcome.solutions) == 12
-
     def test_latin3_matches_independent_enumeration(self):
         count, squares = count_grids_by_row_product(3)
         outcome = brute_force(make_latin_spec(3))
@@ -269,11 +259,6 @@ class TestBruteForce:
     def test_guard_refuses_large_spaces(self):
         with pytest.raises(SearchSpaceError):
             brute_force(make_classic_spec(4))
-
-    def test_respects_givens(self):
-        outcome = brute_force(make_latin_spec(3, givens=((1, 1), (2, 2), (3, 3))))
-        assert len(outcome.solutions) == 2
-        assert all(s.cells[:3] == (1, 2, 3) for s in outcome.solutions)
 
 
 @pytest.mark.parametrize(
@@ -336,11 +321,6 @@ def test_certificate_sees_each_solutions_one_hot_grid(spec, cap, count, monkeypa
 
 
 class TestSolve:
-    def test_latin2_empty(self):
-        outcome = solve(make_latin_spec(2))
-        assert len(outcome.solutions) == 2
-        assert outcome.exhausted
-
     def test_matches_brute_force_sets(self):
         fixtures = [
             make_latin_spec(2),
@@ -355,11 +335,6 @@ class TestSolve:
                 s.cells for s in slow.solutions
             }
             assert fast.exhausted and slow.exhausted
-
-    def test_classic4_empty_count(self):
-        outcome = solve(make_classic_spec(4))
-        assert len(outcome.solutions) == 288
-        assert outcome.exhausted
 
     def test_deterministic(self):
         spec = make_latin_spec(3)
